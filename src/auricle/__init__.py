@@ -22,7 +22,7 @@ from .metrics import (
     MetricStatus,
     MetricValue,
     SpatialDecomposition,
-    TdoaEstimate,
+    align_pair,
     delta_ild,
     delta_itd,
     gcc_phat_tdoa,

@@ -20,8 +20,6 @@ class Frame:
     samples, max over channels.
     """
 
-    index: int
-    start: int
     samples: np.ndarray
     weight: float
     sample_rate: int
@@ -76,12 +74,12 @@ def frame_signal(
     win = _make_window(window, n, tukey_alpha)
     total = buffer.num_samples
     frames = []
-    for index, start in enumerate(range(0, total, h)):
+    for start in range(0, total, h):
         block = buffer.samples[:, start : start + n]
         weight = rms_weight(block)
         if block.shape[1] < n:
             block = np.pad(block, ((0, 0), (0, n - block.shape[1])))
-        frames.append(Frame(index, start, block * win, weight, fs))
+        frames.append(Frame(block * win, weight, fs))
     return frames
 
 

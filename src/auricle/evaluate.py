@@ -6,16 +6,16 @@ synthesis manifest (layout.json) the stem azimuths are attached to each row.
 """
 
 import csv
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .audio import AudioBuffer, read_wav
+from .audio import read_wav
 from .metrics import (
     DEFAULT_CONFIG,
     MetricConfig,
     MetricValue,
+    align_pair,
     delta_ild,
     delta_itd,
     ssr_srr,
@@ -25,6 +25,7 @@ from .scene import MANIFEST_NAME, STEM_NAMES, Manifest, read_manifest
 __all__ = [
     "MetricRow",
     "METRIC_FIELDS",
+    "METRIC_UNITS",
     "evaluate_track",
     "evaluate_tree",
     "discover_tracks",
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 METRIC_FIELDS = ("ssr_db", "srr_db", "delta_itd_us", "delta_ild_db")
-_UNITS = {"ssr_db": "dB", "srr_db": "dB", "delta_itd_us": "us", "delta_ild_db": "dB"}
+METRIC_UNITS = {"ssr_db": "dB", "srr_db": "dB", "delta_itd_us": "us", "delta_ild_db": "dB"}
 
 
 @dataclass
@@ -50,31 +51,6 @@ class MetricRow:
 
     def metric(self, field: str) -> MetricValue:
         return getattr(self, field)
-
-
-def _load_pair(ref_path: Path, est_path: Path, cfg: MetricConfig):
-    ref = read_wav(ref_path)
-    est = read_wav(est_path)
-    if ref.sample_rate != est.sample_rate:
-        raise ValueError(
-            f"sample-rate mismatch: {ref_path} is {ref.sample_rate} Hz, "
-            f"{est_path} is {est.sample_rate} Hz"
-        )
-    if ref.num_channels != 2 or est.num_channels != 2:
-        raise ValueError(f"stems must be stereo: {ref_path} / {est_path}")
-    diff = abs(ref.num_samples - est.num_samples)
-    window = int(round(cfg.ssr_window * ref.sample_rate))
-    if diff > window:
-        raise ValueError(
-            f"{est_path} differs from reference by {diff} samples, more than one "
-            f"{cfg.ssr_window} s frame"
-        )
-    if diff:
-        warnings.warn(f"trimming {diff} samples to align {est_path}", stacklevel=2)
-        total = min(ref.num_samples, est.num_samples)
-        ref = AudioBuffer(ref.samples[:, :total], ref.sample_rate)
-        est = AudioBuffer(est.samples[:, :total], est.sample_rate)
-    return ref, est
 
 
 def evaluate_track(
@@ -98,7 +74,14 @@ def evaluate_track(
             raise FileNotFoundError(f"reference stem {stem!r} missing from {ref_dir}")
         if not est_path.exists():
             raise FileNotFoundError(f"estimated stem {stem!r} missing from {est_dir}")
-        ref, est = _load_pair(ref_path, est_path, cfg)
+        ref = read_wav(ref_path)
+        est = read_wav(est_path)
+        if ref.num_channels != 2 or est.num_channels != 2:
+            raise ValueError(f"stems must be stereo: {ref_path} / {est_path}")
+        try:
+            ref, est = align_pair(ref, est, cfg)
+        except ValueError as exc:
+            raise ValueError(f"{est_path}: {exc}") from exc
 
         ssr, srr = ssr_srr(ref, est, cfg)
         azimuth = None
@@ -207,7 +190,7 @@ def read_rows_csv(path) -> list[MetricRow]:
                     track_id=rec["track_id"],
                     stem=rec["stem"],
                     azimuth_deg=int(rec["azimuth_deg"]) if rec["azimuth_deg"] else None,
-                    **{f: _decode_value(rec[f], _UNITS[f]) for f in METRIC_FIELDS},
+                    **{f: _decode_value(rec[f], METRIC_UNITS[f]) for f in METRIC_FIELDS},
                 )
             )
     if not rows:

@@ -36,7 +36,6 @@ class HrirPair:
     left: np.ndarray
     right: np.ndarray
     sample_rate: int
-    elevation: int = 0
 
     def __post_init__(self):
         if self.azimuth not in GRID_DEGREES:
@@ -47,8 +46,9 @@ class HrirPair:
             raise ValueError("impulse responses must be 1-D")
         if self.left.size != self.right.size or self.left.size < 1:
             raise ValueError("left and right responses must share a length >= 1")
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
+        if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
+            raise ValueError(f"sample rate must be a positive integer, got {self.sample_rate!r}")
+        self.sample_rate = int(self.sample_rate)
 
     @property
     def length(self) -> int:
@@ -87,7 +87,16 @@ def _angle_filenames(directory: Path) -> dict:
         with open(index) as fh:
             raw = json.load(fh)
         mapping = raw.get("files", raw)
-        return {int(angle): directory / name for angle, name in mapping.items()}
+        files = {}
+        for key, name in mapping.items():
+            try:
+                angle = int(key)
+            except ValueError:
+                angle = None
+            if angle not in GRID_DEGREES:
+                raise ValueError(f"{index}: key {key!r} is not a grid azimuth in [-90, 90]")
+            files[angle] = directory / name
+        return files
     return {a: directory / f"azi_{a}_ele_0.wav" for a in GRID_DEGREES}
 
 

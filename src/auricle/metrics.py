@@ -29,8 +29,8 @@ __all__ = [
     "MetricConfig",
     "MetricStatus",
     "MetricValue",
-    "TdoaEstimate",
     "SpatialDecomposition",
+    "align_pair",
     "gcc_phat_tdoa",
     "signal_itd",
     "signal_itd_lag",
@@ -77,7 +77,19 @@ class MetricConfig:
             "phat_floor",
         ):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.ssr_hop > self.ssr_window:
+            raise ValueError(
+                f"ssr_hop {self.ssr_hop!r} s exceeds ssr_window {self.ssr_window!r} s; "
+                "frames would skip audio"
+            )
+        if self.tukey_alpha > 1:
+            raise ValueError(f"tukey_alpha must be at most 1, got {self.tukey_alpha!r}")
+        if self.itd_frame_len < 2 * self.max_lag:
+            raise ValueError(
+                f"itd_frame_len {self.itd_frame_len!r} s is shorter than "
+                f"2 * max_lag = {2 * self.max_lag!r} s"
+            )
 
     def max_lag_samples(self, sample_rate: int) -> int:
         lags = int(math.floor(self.max_lag * sample_rate))
@@ -153,28 +165,20 @@ class MetricValue:
         return self.status is MetricStatus.UNDEFINED
 
 
-@dataclass(frozen=True)
-class TdoaEstimate:
-    """Peak cross-correlation lag for one frame; positive = left leads."""
-
-    lag_samples: int
-    lag_seconds: float
-    frame_index: int
-    weight: float
-
-
-def gcc_phat_tdoa(frame: Frame, cfg: MetricConfig = DEFAULT_CONFIG) -> TdoaEstimate:
-    """Frame-wise TDOA via phase-transform-weighted cross-correlation.
+def gcc_phat_tdoa(frame: Frame, cfg: MetricConfig = DEFAULT_CONFIG) -> int:
+    """Frame-wise TDOA in samples via phase-transform-weighted cross-correlation.
 
     The cross-spectrum of the (windowed) channels is magnitude-normalized,
     then inverse-transformed; the returned lag maximizes the correlation over
     lags within +-max_lag. A positive lag means the sound reaches the left
-    ear first.
+    ear first. The frame must span at least 2 * max_lag samples.
     """
     if frame.num_channels != 2:
         raise ValueError("GCC-PHAT needs a stereo frame")
-    fs = frame.sample_rate
     n = frame.length
+    max_shift = cfg.max_lag_samples(frame.sample_rate)
+    if n < 2 * max_shift:
+        raise ValueError(f"frame of {n} samples is shorter than 2 * max_lag = {2 * max_shift}")
     nfft = next_fast_len(2 * n)
     spec_l = np.fft.rfft(frame.samples[0], nfft)
     spec_r = np.fft.rfft(frame.samples[1], nfft)
@@ -182,12 +186,10 @@ def gcc_phat_tdoa(frame: Frame, cfg: MetricConfig = DEFAULT_CONFIG) -> TdoaEstim
     cross /= np.maximum(np.abs(cross), cfg.phat_floor)
     cc = np.fft.irfft(cross, nfft)
 
-    max_shift = min(cfg.max_lag_samples(fs), nfft // 2 - 1)
     ring = np.concatenate((cc[-max_shift:], cc[: max_shift + 1]))
     # ring index i corresponds to correlation shift i - max_shift; a left lead
     # of d samples peaks at shift -d, so the lag axis is negated.
-    lag = -(int(np.argmax(ring)) - max_shift)
-    return TdoaEstimate(lag, lag / fs, frame.index, frame.weight)
+    return max_shift - int(np.argmax(ring))
 
 
 def signal_itd_lag(buffer: AudioBuffer, cfg: MetricConfig = DEFAULT_CONFIG) -> int | None:
@@ -205,8 +207,8 @@ def signal_itd_lag(buffer: AudioBuffer, cfg: MetricConfig = DEFAULT_CONFIG) -> i
     for frame in frames:
         if frame.weight < cfg.silence_threshold:
             continue
-        est = gcc_phat_tdoa(frame, cfg)
-        votes[est.lag_samples] = votes.get(est.lag_samples, 0.0) + frame.weight
+        lag = gcc_phat_tdoa(frame, cfg)
+        votes[lag] = votes.get(lag, 0.0) + frame.weight
     if not votes:
         return None
     return max(votes.items(), key=lambda kv: (kv[1], -abs(kv[0]), -kv[0]))[0]
@@ -243,6 +245,30 @@ def _check_comparable(reference: AudioBuffer, estimate: AudioBuffer):
         )
     if reference.num_channels != estimate.num_channels:
         raise ValueError("reference and estimate channel counts differ")
+
+
+def align_pair(
+    reference: AudioBuffer, estimate: AudioBuffer, cfg: MetricConfig = DEFAULT_CONFIG
+) -> tuple[AudioBuffer, AudioBuffer]:
+    """Check that two signals are comparable and trim them to a common length.
+
+    Sample rates and channel counts must match. Lengths may differ by at most
+    one ssr_window; the longer signal is trimmed with a warning.
+    """
+    _check_comparable(reference, estimate)
+    fs = reference.sample_rate
+    diff = abs(reference.num_samples - estimate.num_samples)
+    if diff > int(round(cfg.ssr_window * fs)):
+        raise ValueError(
+            f"length mismatch of {diff} samples exceeds one {cfg.ssr_window} s frame; "
+            "refusing to compare misaligned signals"
+        )
+    if diff:
+        warnings.warn(f"trimming {diff} trailing samples to align signals", stacklevel=2)
+        total = min(reference.num_samples, estimate.num_samples)
+        reference = AudioBuffer(reference.samples[:, :total], fs)
+        estimate = AudioBuffer(estimate.samples[:, :total], fs)
+    return reference, estimate
 
 
 def delta_itd(
@@ -294,35 +320,50 @@ class SpatialDecomposition:
     reference_silent: np.ndarray
 
 
-def _best_gain_delay(context: np.ndarray, offset: int, length: int, est: np.ndarray, max_delay: int):
-    """Least-squares (delay, gain) fitting est with a shifted reference block.
+def _project(context: np.ndarray, offset: int, est: np.ndarray, max_delay: int):
+    """Least-squares per-channel gain+delay projection of a reference block onto est.
 
-    ``context[offset : offset + length]`` is the undelayed reference block;
-    shifting by d reads ``context[offset - d : offset - d + length]``, so the
-    caller controls whether vacated samples are zeros or surrounding signal.
-    Ties on the residual go to the smaller |d|, then the negative d. Returns
-    (delay, gain, silent) with silent=True when every shift has zero energy.
+    ``context[:, offset : offset + n]`` is the undelayed reference block for
+    an ``(channels, n)`` estimate; delay d reads
+    ``context[:, offset - d : offset - d + n]`` for |d| <= max_delay, so the
+    caller decides whether shifted-in samples are zeros or surrounding
+    signal. Ties on the residual go to the smaller |d|, then the negative d.
+    A channel whose every shift has zero energy is flagged silent and
+    projected to zero.
     """
-    region = context[offset - max_delay : offset + max_delay + length]
-    corr = np.correlate(region, est, mode="valid")  # index i <-> delay d = max_delay - i
-    squared = np.cumsum(np.concatenate(([0.0], region**2)))
-    energies = squared[length:] - squared[: 2 * max_delay + 1]
-
-    usable = energies > 0.0
-    if not np.any(usable):
-        return 0, 0.0, True
-    scores = np.full_like(energies, -np.inf)
-    scores[usable] = corr[usable] ** 2 / energies[usable]
-    best = scores.max()
-    ties = np.nonzero(scores == best)[0]
-    delays = max_delay - ties
-    pick = min(range(len(ties)), key=lambda j: (abs(delays[j]), delays[j]))
-    d = int(delays[pick])
-    # Recompute the gain with plain dot products on the winning segment: when
-    # est is exactly the (scaled) segment this reproduces the scale exactly,
-    # so the residual cancels to zero rather than to rounding noise.
-    seg = context[offset - d : offset - d + length]
-    return d, float(np.dot(seg, est) / np.dot(seg, seg)), False
+    channels, n = est.shape
+    projected = np.zeros_like(est)
+    gain = np.zeros(channels)
+    delay = np.zeros(channels, dtype=int)
+    silent = np.zeros(channels, dtype=bool)
+    for c in range(channels):
+        region = context[c, offset - max_delay : offset + max_delay + n]
+        corr = np.correlate(region, est[c], mode="valid")  # index i <-> delay d = max_delay - i
+        squared = np.cumsum(np.concatenate(([0.0], region**2)))
+        energies = squared[n:] - squared[: 2 * max_delay + 1]
+        usable = energies > 0.0
+        if not np.any(usable):
+            silent[c] = True
+            continue
+        scores = np.full_like(energies, -np.inf)
+        scores[usable] = corr[usable] ** 2 / energies[usable]
+        delays = max_delay - np.nonzero(scores == scores.max())[0]
+        d = int(min(delays, key=lambda t: (abs(t), t)))
+        # Recompute the gain with plain dot products on the winning segment:
+        # when est is exactly the (scaled) segment this reproduces the scale
+        # exactly, so the residual cancels to zero rather than to rounding noise.
+        seg = context[c, offset - d : offset - d + n]
+        gain[c] = np.dot(seg, est[c]) / np.dot(seg, seg)
+        delay[c] = d
+        projected[c] = gain[c] * seg
+    return SpatialDecomposition(
+        projected=projected,
+        spatial_error=projected - context[:, offset : offset + n],
+        residual_error=est - projected,
+        gain=gain,
+        delay=delay,
+        reference_silent=silent,
+    )
 
 
 def project_gain_delay(
@@ -340,28 +381,12 @@ def project_gain_delay(
     if ref.shape != est.shape:
         raise ValueError(f"frame shapes differ: {ref.shape} vs {est.shape}")
     max_delay = cfg.proj_delay_samples(ref_frame.sample_rate)
-    n = ref.shape[1]
+    context = np.pad(ref, ((0, 0), (max_delay, max_delay)))
+    return _project(context, max_delay, est, max_delay)
 
-    channels = ref.shape[0]
-    projected = np.zeros_like(est)
-    gain = np.zeros(channels)
-    delay = np.zeros(channels, dtype=int)
-    silent = np.zeros(channels, dtype=bool)
-    for c in range(channels):
-        context = np.pad(ref[c], (max_delay, max_delay))
-        d, a, is_silent = _best_gain_delay(context, max_delay, n, est[c], max_delay)
-        delay[c], gain[c], silent[c] = d, a, is_silent
-        if not is_silent:
-            shifted = context[max_delay - d : max_delay - d + n]
-            projected[c] = a * shifted
-    return SpatialDecomposition(
-        projected=projected,
-        spatial_error=projected - ref,
-        residual_error=est - projected,
-        gain=gain,
-        delay=delay,
-        reference_silent=silent,
-    )
+
+def _energy(block: np.ndarray) -> float:
+    return sum(float(np.dot(row, row)) for row in block)
 
 
 def _energy_ratio_db(numerator: float, denominator: float) -> float:
@@ -384,61 +409,29 @@ def ssr_srr(
     signal so a globally delayed estimate incurs no frame-boundary penalty.
     Frame values with a zero error denominator are positive infinity and sort
     above all finite values in the median. Lengths may differ by at most one
-    frame (the longer signal is trimmed with a warning).
+    frame (see ``align_pair``).
     """
-    _check_comparable(reference, estimate)
+    reference, estimate = align_pair(reference, estimate, cfg)
     fs = reference.sample_rate
     n = int(round(cfg.ssr_window * fs))
     hop = int(round(cfg.ssr_hop * fs))
     max_delay = cfg.proj_delay_samples(fs)
-
-    diff = abs(reference.num_samples - estimate.num_samples)
-    if diff > n:
-        raise ValueError(
-            f"length mismatch of {diff} samples exceeds one {cfg.ssr_window} s frame; "
-            "refusing to compare misaligned signals"
-        )
-    if diff:
-        warnings.warn(f"trimming {diff} trailing samples to align signals", stacklevel=2)
-        total = min(reference.num_samples, estimate.num_samples)
-        reference = AudioBuffer(reference.samples[:, :total], fs)
-        estimate = AudioBuffer(estimate.samples[:, :total], fs)
-
-    total = reference.num_samples
-    channels = reference.num_channels
     # Right padding covers the last frame window plus the largest shift.
     context = np.pad(reference.samples, ((0, 0), (max_delay, max_delay + n)))
 
     ssr_frames = []
     srr_frames = []
-    for start in range(0, total, hop):
-        ref_block = reference.samples[:, start : start + n]
-        if rms_weight(ref_block) < cfg.silence_threshold:
+    for start in range(0, reference.num_samples, hop):
+        if rms_weight(reference.samples[:, start : start + n]) < cfg.silence_threshold:
             continue
         est_block = estimate.samples[:, start : start + n]
-        pad = n - ref_block.shape[1]
-        if pad:
-            ref_block = np.pad(ref_block, ((0, 0), (0, pad)))
-            est_block = np.pad(est_block, ((0, 0), (0, pad)))
-
-        ref_energy = spat_energy = proj_energy = resid_energy = 0.0
-        for c in range(channels):
-            d, a, is_silent = _best_gain_delay(
-                context[c], max_delay + start, n, est_block[c], max_delay
-            )
-            if is_silent:
-                projected = np.zeros(n)
-            else:
-                projected = a * context[c, max_delay + start - d : max_delay + start - d + n]
-            ref_energy += float(np.dot(ref_block[c], ref_block[c]))
-            spat = projected - ref_block[c]
-            resid = est_block[c] - projected
-            spat_energy += float(np.dot(spat, spat))
-            proj_energy += float(np.dot(projected, projected))
-            resid_energy += float(np.dot(resid, resid))
-
-        ssr_frames.append(_energy_ratio_db(ref_energy, spat_energy))
-        srr_frames.append(_energy_ratio_db(proj_energy, resid_energy))
+        if est_block.shape[1] < n:
+            est_block = np.pad(est_block, ((0, 0), (0, n - est_block.shape[1])))
+        offset = max_delay + start
+        dec = _project(context, offset, est_block, max_delay)
+        ref_energy = _energy(context[:, offset : offset + n])
+        ssr_frames.append(_energy_ratio_db(ref_energy, _energy(dec.spatial_error)))
+        srr_frames.append(_energy_ratio_db(_energy(dec.projected), _energy(dec.residual_error)))
 
     if not ssr_frames:
         return MetricValue.undefined("dB"), MetricValue.undefined("dB")

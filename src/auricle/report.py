@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import METRIC_FIELDS, MetricRow
+from .evaluate import METRIC_FIELDS, METRIC_UNITS, MetricRow
 from .metrics import MetricValue
 from .scene import STEM_NAMES
 
@@ -65,7 +65,6 @@ class AngleBin:
 
 @dataclass
 class MetricReport:
-    rows: list
     by_instrument: dict  # stem -> metric -> CellStat
     overall: dict  # metric -> CellStat
     by_angle: list | None = None
@@ -90,10 +89,6 @@ def _median_cell(values, unit: str) -> CellStat:
     return CellStat(MetricValue.from_float(float(np.median(floats)), unit), len(floats), excluded)
 
 
-def _unit(metric: str) -> str:
-    return "us" if metric.endswith("_us") else "dB"
-
-
 def aggregate_medians(rows) -> MetricReport:
     """Per-instrument and pooled-overall medians for each metric."""
     rows = list(rows)
@@ -103,10 +98,11 @@ def aggregate_medians(rows) -> MetricReport:
     for stem in STEM_NAMES:
         stem_rows = [r for r in rows if r.stem == stem]
         by_instrument[stem] = {
-            m: _median_cell([r.metric(m) for r in stem_rows], _unit(m)) for m in METRIC_FIELDS
+            m: _median_cell([r.metric(m) for r in stem_rows], METRIC_UNITS[m])
+            for m in METRIC_FIELDS
         }
-    overall = {m: _median_cell([r.metric(m) for r in rows], _unit(m)) for m in METRIC_FIELDS}
-    return MetricReport(rows=rows, by_instrument=by_instrument, overall=overall)
+    overall = {m: _median_cell([r.metric(m) for r in rows], METRIC_UNITS[m]) for m in METRIC_FIELDS}
+    return MetricReport(by_instrument=by_instrument, overall=overall)
 
 
 def _bin_index(azimuth: int) -> int:
@@ -163,12 +159,12 @@ def bin_by_angle(rows) -> list[AngleBin]:
         label = f"[{low},{high}{']' if i == 5 else ')'}"
         per_stem = {
             stem: {
-                m: _box([r.metric(m) for r in members if r.stem == stem], _unit(m))
+                m: _box([r.metric(m) for r in members if r.stem == stem], METRIC_UNITS[m])
                 for m in METRIC_FIELDS
             }
             for stem in STEM_NAMES
         }
-        pooled = {m: _box([r.metric(m) for r in members], _unit(m)) for m in METRIC_FIELDS}
+        pooled = {m: _box([r.metric(m) for r in members], METRIC_UNITS[m]) for m in METRIC_FIELDS}
         bins.append(AngleBin(label, low, high, per_stem, pooled))
     return bins
 
@@ -224,8 +220,6 @@ def write_report(
     contributes min/q1/median/q3/max rows. Markdown mirrors the same layout
     as tables.
     """
-    if not report.rows:
-        raise ValueError("no rows in report")
     if fmt == "csv":
         text = _render_csv(report, full_precision)
     elif fmt == "markdown":

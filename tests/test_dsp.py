@@ -53,7 +53,10 @@ def test_frame_count_no_overlap(rng):
     buf = AudioBuffer(rng.normal(size=(2, 2 * fs)), fs)
     frames = frame_signal(buf, 0.5, 0.5)
     assert len(frames) == 4
-    assert [f.start for f in frames] == [0, 22050, 44100, 66150]
+    # frame t starts at sample t * hop: a rectangular-framed ramp shows it
+    ramp = AudioBuffer(np.tile(np.arange(2.0 * fs), (2, 1)), fs)
+    starts = [f.samples[0, 0] for f in frame_signal(ramp, 0.5, 0.5, window="rectangular")]
+    assert starts == [0, 22050, 44100, 66150]
     # general rule: ceil(N / hop) frames when frame_len == hop
     buf2 = AudioBuffer(rng.normal(size=(2, 2 * fs + 1)), fs)
     assert len(frame_signal(buf2, 0.5, 0.5)) == 5

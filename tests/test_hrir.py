@@ -27,6 +27,11 @@ def test_pair_validation():
         HrirPair(40, np.zeros(8), np.zeros(4), 44100)  # unequal lengths
 
 
+def test_pair_rejects_non_integer_rate():
+    with pytest.raises(ValueError, match="positive integer, got 44100.5"):
+        HrirPair(0, np.ones(8), np.ones(8), 44100.5)
+
+
 def test_database_requires_full_grid(sphere_db):
     entries = dict(sphere_db.entries)
     del entries[40]
@@ -78,6 +83,18 @@ def test_index_json_mapping(tmp_path, sphere_db):
     loaded = load_hrir_database(d)
     assert len(loaded) == 19
     assert np.allclose(loaded[-30].left, sphere_db[-30].left, atol=1e-7)
+
+
+def test_index_json_off_grid_key_named(tmp_path, sphere_db):
+    save_hrir_database(sphere_db, tmp_path / "db")
+    mapping = {str(a): f"azi_{a}_ele_0.wav" for a in GRID_DEGREES}
+    mapping["45"] = "azi_40_ele_0.wav"
+    (tmp_path / "db" / "index.json").write_text(json.dumps({"files": mapping}))
+    with pytest.raises(ValueError, match="'45'"):
+        load_hrir_database(tmp_path / "db")
+    (tmp_path / "db" / "index.json").write_text(json.dumps({"left": "azi_0_ele_0.wav"}))
+    with pytest.raises(ValueError, match="'left'"):
+        load_hrir_database(tmp_path / "db")
 
 
 def test_spherical_head_structure(sphere_db):

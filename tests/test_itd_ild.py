@@ -26,36 +26,36 @@ def _stereo_frame(left, right, window="tukey"):
 
 def test_gcc_identical_channels_zero_lag(rng):
     x = rng.normal(size=22050) * 0.1
-    assert gcc_phat_tdoa(_stereo_frame(x, x)).lag_samples == 0
+    assert gcc_phat_tdoa(_stereo_frame(x, x)) == 0
 
 
 def test_gcc_matches_brute_force_oracle(rng):
     x = rng.normal(size=22050) * 0.1
     for d in (1, 7, 10, 33, -4, -44):
         y = shift_zero_fill(x, d)
-        est = gcc_phat_tdoa(_stereo_frame(x, y))
+        lag = gcc_phat_tdoa(_stereo_frame(x, y))
         # oracle: plain time-domain cross-correlation peak over all lags
         oracle = brute_xcorr_lag(x, y, 44)
-        assert est.lag_samples == oracle == d
+        assert lag == oracle == d
     # 10 samples at 44.1 kHz is +226.757 us
     y = shift_zero_fill(x, 10)
-    est = gcc_phat_tdoa(_stereo_frame(x, y))
-    assert est.lag_seconds * 1e6 == pytest.approx(226.757, abs=1e-3)
+    itd = signal_itd(AudioBuffer(np.stack([x, y]), FS))
+    assert itd.value * 1e6 == pytest.approx(226.757, abs=1e-3)
 
 
 def test_gcc_antisymmetric_under_swap(rng):
     x = rng.normal(size=22050) * 0.1
     y = shift_zero_fill(x, 13)
-    fwd = gcc_phat_tdoa(_stereo_frame(x, y)).lag_samples
-    rev = gcc_phat_tdoa(_stereo_frame(y, x)).lag_samples
+    fwd = gcc_phat_tdoa(_stereo_frame(x, y))
+    rev = gcc_phat_tdoa(_stereo_frame(y, x))
     assert fwd == -rev == 13
 
 
 def test_gcc_gain_invariant(rng):
     x = rng.normal(size=22050) * 0.1
     y = shift_zero_fill(x, 21)
-    base = gcc_phat_tdoa(_stereo_frame(x, y)).lag_samples
-    scaled = gcc_phat_tdoa(_stereo_frame(5.0 * x, 5.0 * y)).lag_samples
+    base = gcc_phat_tdoa(_stereo_frame(x, y))
+    scaled = gcc_phat_tdoa(_stereo_frame(5.0 * x, 5.0 * y))
     assert base == scaled
 
 
@@ -184,3 +184,23 @@ def test_delta_ild_undefined_propagates(rng):
     a = noise_buffer(rng, seconds=0.5)
     silent = AudioBuffer(np.zeros((2, a.num_samples)), FS)
     assert delta_ild(a, silent).is_undefined
+
+
+def test_config_rejects_tukey_alpha_above_one():
+    # scipy would silently turn alpha > 1 into a Hann window
+    with pytest.raises(ValueError, match=r"tukey_alpha must be at most 1, got 1\.5"):
+        MetricConfig(tukey_alpha=1.5)
+
+
+def test_config_rejects_itd_frame_shorter_than_two_lags():
+    with pytest.raises(ValueError, match=r"itd_frame_len 0\.001 s is shorter than 2 \* max_lag"):
+        MetricConfig(itd_frame_len=0.001)
+
+
+def test_gcc_rejects_frame_shorter_than_two_lags(rng):
+    # a 1 ms frame cannot hold the ±1 ms lag search, so any lag it gave would be wrong
+    x = rng.normal(size=FS) * 0.1
+    buf = AudioBuffer(np.stack([x, shift_zero_fill(x, 40)]), FS)
+    frame = frame_signal(buf, 0.001, 0.001, window="rectangular")[0]
+    with pytest.raises(ValueError, match="shorter than 2 \\* max_lag = 88"):
+        gcc_phat_tdoa(frame)

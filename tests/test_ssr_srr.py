@@ -127,3 +127,9 @@ def test_config_windows_respected(rng):
     cfg = MetricConfig(ssr_window=0.25, ssr_hop=0.125)
     ssr, srr = ssr_srr(ref, ref, cfg)
     assert ssr.is_infinite and srr.is_infinite
+
+
+def test_config_rejects_hop_longer_than_window():
+    # a hop past the window would leave audio between frames unscored
+    with pytest.raises(ValueError, match=r"ssr_hop 0\.6 s exceeds ssr_window 0\.5"):
+        MetricConfig(ssr_window=0.5, ssr_hop=0.6)
