@@ -113,7 +113,7 @@ def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> None:
     data = buffer.samples.T
 
     if encoding == "float32":
-        out = data.astype(np.float32)
+        out = data.astype(np.float32, order="C")
     elif encoding == "pcm16":
         peak = np.max(np.abs(data))
         if peak > 1.0:

@@ -3,8 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.signal import windows
+from scipy.signal import oaconvolve, windows
 
 from .audio import AudioBuffer
 
@@ -84,7 +83,7 @@ def frame_signal(
 
 
 def fft_convolve(signal, kernel) -> np.ndarray:
-    """Linear convolution of two 1-D sequences via the FFT.
+    """Linear convolution of two 1-D sequences by overlap-add FFT blocks.
 
     Output length is len(signal) + len(kernel) - 1, matching direct
     time-domain convolution to within float64 rounding.
@@ -95,7 +94,4 @@ def fft_convolve(signal, kernel) -> np.ndarray:
         raise ValueError("fft_convolve takes 1-D sequences")
     if x.size == 0 or k.size == 0:
         raise ValueError("fft_convolve inputs must be non-empty")
-    n_out = x.size + k.size - 1
-    nfft = next_fast_len(n_out)
-    out = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(k, nfft), nfft)
-    return out[:n_out]
+    return oaconvolve(x, k)

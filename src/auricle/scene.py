@@ -190,7 +190,13 @@ def synthesize_track(
         path = track_dir / f"{stem}.wav"
         if not path.exists():
             raise FileNotFoundError(f"stem {stem!r} missing from {track_dir}")
-        sources[stem] = read_wav(path)
+        stereo = read_wav(path)
+        try:
+            sources[stem] = downmix_mono(stereo)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    # only the mono sources stay alive while the song is rendered and mixed
+    del stereo
 
     lengths = {s.num_samples for s in sources.values()}
     if len(lengths) != 1:
@@ -202,10 +208,7 @@ def synthesize_track(
     if rate != db.sample_rate:
         raise ValueError(f"track rate {rate} Hz does not match HRIR rate {db.sample_rate} Hz")
 
-    rendered = []
-    for stem in STEM_NAMES:
-        mono = downmix_mono(sources[stem])
-        rendered.append(binauralize(mono, db[layout.assignments[stem]]))
+    rendered = [binauralize(sources[stem], db[layout.assignments[stem]]) for stem in STEM_NAMES]
     mixture, gain, scaled = mix_and_normalize(rendered)
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from auricle import AudioBuffer, fft_convolve, frame_signal, rms_weight
 
@@ -29,6 +31,26 @@ def test_convolve_matches_direct_oracle(rng):
         want = direct_convolve(x, k)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6000),
+    m=st.sampled_from([1, 2, 128, 1024]) | st.integers(1, 8000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, m=1, seed=0)
+@example(n=1, m=1024, seed=1)
+@example(n=100, m=1024, seed=2)
+@example(n=6000, m=128, seed=3)
+def test_convolve_equals_direct_oracle_property(n, m, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    k = rng.normal(size=m)
+    got = fft_convolve(x, k)
+    want = direct_convolve(x, k)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-9
 
 
 def test_convolve_linearity(rng):

@@ -15,9 +15,11 @@ from auricle import (
     sample_layout,
     signal_itd,
     signal_itd_lag,
+    spherical_head_database,
     synthesize_track,
+    write_wav,
 )
-from auricle.hrir import HrirPair
+from auricle.hrir import GRID_DEGREES, HrirPair
 
 from helpers import make_song_dir, noise_buffer
 
@@ -51,6 +53,17 @@ def test_binauralize_delta_hrir_duplicates_signal(rng):
     out = binauralize(AudioBuffer(x, 44100), pair)
     assert np.allclose(out.left[:400], x, atol=1e-12)
     assert np.allclose(out.right[:400], x, atol=1e-12)
+
+
+@pytest.mark.parametrize("ir_length", [128, 1024])
+def test_binauralize_equals_per_ear_direct_convolution(rng, ir_length):
+    db = spherical_head_database(ir_length=ir_length)
+    x = rng.normal(size=2 * 44100) * 0.1
+    for azimuth in GRID_DEGREES:
+        pair = db[azimuth]
+        out = binauralize(AudioBuffer(x, 44100), pair)
+        assert np.max(np.abs(out.left - np.convolve(x, pair.left))) <= 1e-12
+        assert np.max(np.abs(out.right - np.convolve(x, pair.right))) <= 1e-12
 
 
 def test_binauralize_rate_mismatch(sphere_db):
@@ -180,9 +193,14 @@ def test_missing_stem_is_named(tmp_path, sphere_db, rng):
         synthesize_track(song, sphere_db, sample_layout(0), tmp_path / "out")
 
 
-def test_stem_length_mismatch_rejected(tmp_path, sphere_db, rng):
-    from auricle import write_wav
+def test_mono_stem_is_named(tmp_path, sphere_db, rng):
+    song = make_song_dir(tmp_path / "in", "song1", rng)
+    write_wav(song / "bass.wav", noise_buffer(rng, seconds=1.5, channels=1), encoding="pcm16")
+    with pytest.raises(ValueError, match=r"bass\.wav: downmix expects 2 channels, got 1"):
+        synthesize_track(song, sphere_db, sample_layout(0), tmp_path / "out")
 
+
+def test_stem_length_mismatch_rejected(tmp_path, sphere_db, rng):
     song = make_song_dir(tmp_path / "in", "song1", rng)
     short = noise_buffer(rng, seconds=0.5)
     write_wav(song / "other.wav", short, encoding="pcm16")
