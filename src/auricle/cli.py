@@ -32,13 +32,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--estimates", required=True, help="estimate tree mirroring the reference layout")
     ev.add_argument("--out", required=True, help="per-(track, stem) metrics CSV to write")
     ev.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    ev.add_argument("--itd-frame", type=float, default=0.5, help="ITD frame length in s (hop equals it)")
-    ev.add_argument("--itd-threshold", type=float, default=5e-4, help="silent-frame RMS threshold")
-    ev.add_argument("--max-lag-ms", type=float, default=1.0, help="GCC-PHAT lag search range in ms")
-    ev.add_argument("--ssr-window", type=float, default=1.0, help="SSR/SRR frame length in s")
-    ev.add_argument("--ssr-hop", type=float, default=0.5, help="SSR/SRR hop in s")
-    ev.add_argument("--proj-max-delay-ms", type=float, default=1.0, help="projection delay search range in ms")
-    ev.add_argument("--tukey-alpha", type=float, default=0.5, help="Tukey taper for ITD frames")
+    defaults = MetricConfig()
+    for flag, default, text in (
+        ("--itd-frame", defaults.itd_frame_len, "ITD frame length in s (hop equals it)"),
+        ("--itd-threshold", defaults.silence_threshold, "silent-frame RMS threshold"),
+        ("--max-lag-ms", defaults.max_lag * 1000, "GCC-PHAT lag search range in ms"),
+        ("--ssr-window", defaults.ssr_window, "SSR/SRR frame length in s"),
+        ("--ssr-hop", defaults.ssr_hop, "SSR/SRR hop in s"),
+        ("--proj-max-delay-ms", defaults.proj_max_delay * 1000, "projection delay search range in ms"),
+        ("--tukey-alpha", defaults.tukey_alpha, "Tukey taper for ITD frames"),
+    ):
+        ev.add_argument(flag, type=float, default=default, help=text)
 
     rep = sub.add_parser("report", help="aggregate a metrics CSV into tables")
     rep.add_argument("--in", dest="input", required=True, help="metrics CSV from 'evaluate'")
@@ -66,7 +70,6 @@ def run_cli(argv) -> int:
         elif args.command == "evaluate":
             cfg = MetricConfig(
                 itd_frame_len=args.itd_frame,
-                itd_hop=args.itd_frame,
                 tukey_alpha=args.tukey_alpha,
                 silence_threshold=args.itd_threshold,
                 max_lag=args.max_lag_ms / 1000.0,

@@ -8,6 +8,7 @@ synthesis manifest (layout.json) the stem azimuths are attached to each row.
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .audio import read_wav
@@ -25,7 +26,6 @@ from .scene import MANIFEST_NAME, STEM_NAMES, Manifest, read_manifest
 __all__ = [
     "MetricRow",
     "METRIC_FIELDS",
-    "METRIC_UNITS",
     "evaluate_track",
     "evaluate_tree",
     "discover_tracks",
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 METRIC_FIELDS = ("ssr_db", "srr_db", "delta_itd_us", "delta_ild_db")
-METRIC_UNITS = {"ssr_db": "dB", "srr_db": "dB", "delta_itd_us": "us", "delta_ild_db": "dB"}
 
 
 @dataclass
@@ -102,7 +101,11 @@ def evaluate_track(
 
 
 def discover_tracks(ref_root) -> list[Path]:
-    """Relative paths of every directory under ref_root holding stem WAVs."""
+    """Relative paths of every directory under ref_root holding stem WAVs.
+
+    A directory holding some but not all stems is rejected, naming the
+    missing ones, before any track is scored.
+    """
     ref_root = Path(ref_root)
     if not ref_root.is_dir():
         raise FileNotFoundError(f"reference root not found: {ref_root}")
@@ -112,12 +115,12 @@ def discover_tracks(ref_root) -> list[Path]:
             tracks.add(hit.parent.relative_to(ref_root))
     if not tracks:
         raise FileNotFoundError(f"no stem WAVs found under {ref_root}")
-    return sorted(tracks)
-
-
-def _evaluate_one(args):
-    ref_dir, est_dir, cfg = args
-    return evaluate_track(ref_dir, est_dir, None, cfg)
+    tracks = sorted(tracks)
+    for track in tracks:
+        missing = [stem for stem in STEM_NAMES if not (ref_root / track / f"{stem}.wav").exists()]
+        if missing:
+            raise FileNotFoundError(f"reference track {ref_root / track} lacks stems {missing}")
+    return tracks
 
 
 def evaluate_tree(
@@ -134,13 +137,14 @@ def evaluate_tree(
     """
     ref_root = Path(ref_root)
     est_root = Path(est_root)
-    tasks = [(ref_root / rel, est_root / rel, cfg) for rel in discover_tracks(ref_root)]
+    tracks = discover_tracks(ref_root)
+    args = ([ref_root / t for t in tracks], [est_root / t for t in tracks], repeat(None), repeat(cfg))
 
     if jobs <= 1:
-        per_track = [_evaluate_one(task) for task in tasks]
+        per_track = list(map(evaluate_track, *args))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_track = list(pool.map(_evaluate_one, tasks))
+            per_track = list(pool.map(evaluate_track, *args))
     return [row for rows in per_track for row in rows]
 
 
@@ -152,10 +156,10 @@ def _encode_value(value: MetricValue) -> str:
     return repr(value.value)
 
 
-def _decode_value(text: str, unit: str) -> MetricValue:
+def _decode_value(text: str) -> MetricValue:
     if text == "":
-        return MetricValue.undefined(unit)
-    return MetricValue.from_float(float(text), unit)
+        return MetricValue.undefined()
+    return MetricValue.from_float(float(text))
 
 
 def write_rows_csv(rows, path) -> None:
@@ -190,7 +194,7 @@ def read_rows_csv(path) -> list[MetricRow]:
                     track_id=rec["track_id"],
                     stem=rec["stem"],
                     azimuth_deg=int(rec["azimuth_deg"]) if rec["azimuth_deg"] else None,
-                    **{f: _decode_value(rec[f], METRIC_UNITS[f]) for f in METRIC_FIELDS},
+                    **{f: _decode_value(rec[f]) for f in METRIC_FIELDS},
                 )
             )
     if not rows:

@@ -43,6 +43,8 @@ __all__ = [
 
 # Floor applied to dB values whose energy ratio underflows to zero.
 NEG_DB_CLAMP = -200.0
+# Floor on cross-spectrum magnitudes; guards the PHAT division against zero bins.
+PHAT_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -55,26 +57,22 @@ class MetricConfig:
     """
 
     itd_frame_len: float = 0.5
-    itd_hop: float = 0.5
     tukey_alpha: float = 0.5
     silence_threshold: float = 5e-4
     max_lag: float = 1e-3
     ssr_window: float = 1.0
     ssr_hop: float = 0.5
     proj_max_delay: float = 1e-3
-    phat_floor: float = 1e-15
 
     def __post_init__(self):
         for name in (
             "itd_frame_len",
-            "itd_hop",
             "tukey_alpha",
             "silence_threshold",
             "max_lag",
             "ssr_window",
             "ssr_hop",
             "proj_max_delay",
-            "phat_floor",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -121,29 +119,28 @@ class MetricValue:
 
     value: float | None
     status: MetricStatus
-    unit: str = ""
 
     @classmethod
-    def finite(cls, value: float, unit: str = "") -> "MetricValue":
-        return cls(float(value), MetricStatus.FINITE, unit)
+    def finite(cls, value: float) -> "MetricValue":
+        return cls(float(value), MetricStatus.FINITE)
 
     @classmethod
-    def infinite(cls, unit: str = "") -> "MetricValue":
-        return cls(None, MetricStatus.POSITIVE_INFINITE, unit)
+    def infinite(cls) -> "MetricValue":
+        return cls(None, MetricStatus.POSITIVE_INFINITE)
 
     @classmethod
-    def undefined(cls, unit: str = "") -> "MetricValue":
-        return cls(None, MetricStatus.UNDEFINED, unit)
+    def undefined(cls) -> "MetricValue":
+        return cls(None, MetricStatus.UNDEFINED)
 
     @classmethod
-    def from_float(cls, value: float, unit: str = "") -> "MetricValue":
+    def from_float(cls, value: float) -> "MetricValue":
         if math.isnan(value):
-            return cls.undefined(unit)
+            return cls.undefined()
         if value == math.inf:
-            return cls.infinite(unit)
+            return cls.infinite()
         if value == -math.inf:
-            return cls.finite(NEG_DB_CLAMP, unit)
-        return cls.finite(value, unit)
+            return cls.finite(NEG_DB_CLAMP)
+        return cls.finite(value)
 
     def as_float(self) -> float:
         if self.status is MetricStatus.FINITE:
@@ -183,7 +180,7 @@ def gcc_phat_tdoa(frame: Frame, cfg: MetricConfig = DEFAULT_CONFIG) -> int:
     spec_l = np.fft.rfft(frame.samples[0], nfft)
     spec_r = np.fft.rfft(frame.samples[1], nfft)
     cross = spec_l * np.conj(spec_r)
-    cross /= np.maximum(np.abs(cross), cfg.phat_floor)
+    cross /= np.maximum(np.abs(cross), PHAT_FLOOR)
     cc = np.fft.irfft(cross, nfft)
 
     ring = np.concatenate((cc[-max_shift:], cc[: max_shift + 1]))
@@ -195,14 +192,14 @@ def gcc_phat_tdoa(frame: Frame, cfg: MetricConfig = DEFAULT_CONFIG) -> int:
 def signal_itd_lag(buffer: AudioBuffer, cfg: MetricConfig = DEFAULT_CONFIG) -> int | None:
     """Whole-signal ITD as an integer lag in samples, or None if all silent.
 
-    The signal is framed (Tukey window, no overlap by default), silent frames
+    The signal is framed (Tukey window, no overlap), silent frames
     are dropped, and each remaining frame votes for its GCC-PHAT lag with its
     RMS weight. The winning lag is the weighted mode; ties go to the smaller
     magnitude, then to the negative lag.
     """
     if buffer.num_channels != 2:
         raise ValueError("ITD needs a stereo signal")
-    frames = frame_signal(buffer, cfg.itd_frame_len, cfg.itd_hop, "tukey", cfg.tukey_alpha)
+    frames = frame_signal(buffer, cfg.itd_frame_len, cfg.itd_frame_len, "tukey", cfg.tukey_alpha)
     votes: dict[int, float] = {}
     for frame in frames:
         if frame.weight < cfg.silence_threshold:
@@ -218,8 +215,8 @@ def signal_itd(buffer: AudioBuffer, cfg: MetricConfig = DEFAULT_CONFIG) -> Metri
     """Whole-signal ITD in seconds; undefined when every frame is silent."""
     lag = signal_itd_lag(buffer, cfg)
     if lag is None:
-        return MetricValue.undefined("s")
-    return MetricValue.finite(lag / buffer.sample_rate, "s")
+        return MetricValue.undefined()
+    return MetricValue.finite(lag / buffer.sample_rate)
 
 
 def signal_ild(buffer: AudioBuffer) -> MetricValue:
@@ -229,12 +226,12 @@ def signal_ild(buffer: AudioBuffer) -> MetricValue:
     energy_l = float(np.sum(buffer.left**2))
     energy_r = float(np.sum(buffer.right**2))
     if energy_l == 0.0 and energy_r == 0.0:
-        return MetricValue.undefined("dB")
+        return MetricValue.undefined()
     if energy_r == 0.0:
-        return MetricValue.infinite("dB")
+        return MetricValue.infinite()
     if energy_l == 0.0:
-        return MetricValue.finite(NEG_DB_CLAMP, "dB")
-    return MetricValue.finite(10.0 * math.log10(energy_l / energy_r), "dB")
+        return MetricValue.finite(NEG_DB_CLAMP)
+    return MetricValue.finite(10.0 * math.log10(energy_l / energy_r))
 
 
 def _check_comparable(reference: AudioBuffer, estimate: AudioBuffer):
@@ -283,8 +280,8 @@ def delta_itd(
     lag_ref = signal_itd_lag(reference, cfg)
     lag_est = signal_itd_lag(estimate, cfg)
     if lag_ref is None or lag_est is None:
-        return MetricValue.undefined("us")
-    return MetricValue.finite(abs(lag_ref - lag_est) * 1e6 / reference.sample_rate, "us")
+        return MetricValue.undefined()
+    return MetricValue.finite(abs(lag_ref - lag_est) * 1e6 / reference.sample_rate)
 
 
 def delta_ild(reference: AudioBuffer, estimate: AudioBuffer) -> MetricValue:
@@ -293,13 +290,13 @@ def delta_ild(reference: AudioBuffer, estimate: AudioBuffer) -> MetricValue:
     ild_ref = signal_ild(reference)
     ild_est = signal_ild(estimate)
     if ild_ref.is_undefined or ild_est.is_undefined:
-        return MetricValue.undefined("dB")
+        return MetricValue.undefined()
     if ild_ref.is_infinite and ild_est.is_infinite:
         # Both signals are fully left; the cue is degenerate but unchanged.
-        return MetricValue.finite(0.0, "dB")
+        return MetricValue.finite(0.0)
     if ild_ref.is_infinite or ild_est.is_infinite:
-        return MetricValue.infinite("dB")
-    return MetricValue.finite(abs(ild_ref.value - ild_est.value), "dB")
+        return MetricValue.infinite()
+    return MetricValue.finite(abs(ild_ref.value - ild_est.value))
 
 
 @dataclass
@@ -434,8 +431,8 @@ def ssr_srr(
         srr_frames.append(_energy_ratio_db(_energy(dec.projected), _energy(dec.residual_error)))
 
     if not ssr_frames:
-        return MetricValue.undefined("dB"), MetricValue.undefined("dB")
+        return MetricValue.undefined(), MetricValue.undefined()
     return (
-        MetricValue.from_float(float(np.median(ssr_frames)), "dB"),
-        MetricValue.from_float(float(np.median(srr_frames)), "dB"),
+        MetricValue.from_float(float(np.median(ssr_frames))),
+        MetricValue.from_float(float(np.median(srr_frames))),
     )

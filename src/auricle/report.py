@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import METRIC_FIELDS, METRIC_UNITS, MetricRow
+from .evaluate import METRIC_FIELDS, MetricRow
 from .metrics import MetricValue
 from .scene import STEM_NAMES
 
@@ -57,8 +57,6 @@ class BoxStat:
 @dataclass
 class AngleBin:
     label: str
-    low: int
-    high: int
     per_stem: dict  # stem -> metric -> BoxStat
     pooled: dict  # metric -> BoxStat
 
@@ -82,11 +80,11 @@ def _collect(values) -> tuple[list[float], int]:
     return floats, excluded
 
 
-def _median_cell(values, unit: str) -> CellStat:
+def _median_cell(values) -> CellStat:
     floats, excluded = _collect(values)
     if not floats:
-        return CellStat(MetricValue.undefined(unit), 0, excluded)
-    return CellStat(MetricValue.from_float(float(np.median(floats)), unit), len(floats), excluded)
+        return CellStat(MetricValue.undefined(), 0, excluded)
+    return CellStat(MetricValue.from_float(float(np.median(floats))), len(floats), excluded)
 
 
 def aggregate_medians(rows) -> MetricReport:
@@ -97,11 +95,8 @@ def aggregate_medians(rows) -> MetricReport:
     by_instrument = {}
     for stem in STEM_NAMES:
         stem_rows = [r for r in rows if r.stem == stem]
-        by_instrument[stem] = {
-            m: _median_cell([r.metric(m) for r in stem_rows], METRIC_UNITS[m])
-            for m in METRIC_FIELDS
-        }
-    overall = {m: _median_cell([r.metric(m) for r in rows], METRIC_UNITS[m]) for m in METRIC_FIELDS}
+        by_instrument[stem] = {m: _median_cell([r.metric(m) for r in stem_rows]) for m in METRIC_FIELDS}
+    overall = {m: _median_cell([r.metric(m) for r in rows]) for m in METRIC_FIELDS}
     return MetricReport(by_instrument=by_instrument, overall=overall)
 
 
@@ -122,10 +117,10 @@ def _percentile(sorted_arr: np.ndarray, q: float) -> float:
     return float((1.0 - t) * sorted_arr[lo] + t * sorted_arr[hi])
 
 
-def _box(values, unit: str) -> BoxStat:
+def _box(values) -> BoxStat:
     floats, excluded = _collect(values)
     if not floats:
-        return BoxStat({k: MetricValue.undefined(unit) for k in _BOX_KEYS}, 0, excluded)
+        return BoxStat({k: MetricValue.undefined() for k in _BOX_KEYS}, 0, excluded)
     arr = np.sort(np.asarray(floats))
     stats = {
         "min": arr[0],
@@ -135,7 +130,7 @@ def _box(values, unit: str) -> BoxStat:
         "max": arr[-1],
     }
     return BoxStat(
-        {k: MetricValue.from_float(float(v), unit) for k, v in stats.items()},
+        {k: MetricValue.from_float(float(v)) for k, v in stats.items()},
         len(floats),
         excluded,
     )
@@ -158,14 +153,11 @@ def bin_by_angle(rows) -> list[AngleBin]:
         members = [r for r in with_angle if _bin_index(r.azimuth_deg) == i]
         label = f"[{low},{high}{']' if i == 5 else ')'}"
         per_stem = {
-            stem: {
-                m: _box([r.metric(m) for r in members if r.stem == stem], METRIC_UNITS[m])
-                for m in METRIC_FIELDS
-            }
+            stem: {m: _box([r.metric(m) for r in members if r.stem == stem]) for m in METRIC_FIELDS}
             for stem in STEM_NAMES
         }
-        pooled = {m: _box([r.metric(m) for r in members], METRIC_UNITS[m]) for m in METRIC_FIELDS}
-        bins.append(AngleBin(label, low, high, per_stem, pooled))
+        pooled = {m: _box([r.metric(m) for r in members]) for m in METRIC_FIELDS}
+        bins.append(AngleBin(label, per_stem, pooled))
     return bins
 
 

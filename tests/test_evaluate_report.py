@@ -1,5 +1,9 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auricle import (
     STEM_NAMES,
@@ -17,6 +21,7 @@ from auricle import (
     write_wav,
 )
 from auricle.evaluate import METRIC_FIELDS, MetricRow, discover_tracks, evaluate_tree
+from auricle.metrics import NEG_DB_CLAMP
 from auricle.report import ANGLE_BIN_EDGES, _bin_index
 
 from helpers import make_song_dir, shift_zero_fill
@@ -38,10 +43,10 @@ def _make_row(track, stem, az, itd=0.0, ild=0.0, ssr=10.0, srr=5.0):
         track_id=track,
         stem=stem,
         azimuth_deg=az,
-        ssr_db=MetricValue.from_float(ssr, "dB"),
-        srr_db=MetricValue.from_float(srr, "dB"),
-        delta_itd_us=MetricValue.from_float(itd, "us"),
-        delta_ild_db=MetricValue.from_float(ild, "dB"),
+        ssr_db=MetricValue.from_float(ssr),
+        srr_db=MetricValue.from_float(srr),
+        delta_itd_us=MetricValue.from_float(itd),
+        delta_ild_db=MetricValue.from_float(ild),
     )
 
 
@@ -107,10 +112,10 @@ def test_rows_csv_roundtrip(tmp_path):
             "t2",
             "bass",
             None,
-            MetricValue.infinite("dB"),
-            MetricValue.undefined("dB"),
-            MetricValue.finite(0.0, "us"),
-            MetricValue.finite(1.25, "dB"),
+            MetricValue.infinite(),
+            MetricValue.undefined(),
+            MetricValue.finite(0.0),
+            MetricValue.finite(1.25),
         ),
     ]
     path = tmp_path / "rows.csv"
@@ -120,6 +125,41 @@ def test_rows_csv_roundtrip(tmp_path):
     assert back[1].ssr_db.is_infinite
     assert back[1].srr_db.is_undefined
     assert back[1].azimuth_deg is None
+
+
+metric_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(MetricValue.finite),
+    st.just(MetricValue.finite(NEG_DB_CLAMP)),
+    st.just(MetricValue.infinite()),
+    st.just(MetricValue.undefined()),
+)
+metric_rows = st.builds(
+    MetricRow,
+    track_id=st.text(string.ascii_letters + string.digits + ' _-/,"', min_size=1, max_size=10),
+    stem=st.sampled_from(STEM_NAMES),
+    azimuth_deg=st.none() | st.integers(-90, 90),
+    **{f: metric_values for f in METRIC_FIELDS},
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(metric_rows, min_size=1, max_size=6))
+def test_rows_csv_roundtrip_property(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    write_rows_csv(rows, path)
+    assert read_rows_csv(path) == rows
+
+
+def test_incomplete_reference_track_rejected_before_scoring(tmp_path, monkeypatch):
+    ref = tmp_path / "ref"
+    full = make_song_dir(ref, "a_full", np.random.default_rng(5), seconds=0.5)
+    (ref / "b_partial").mkdir()
+    (ref / "b_partial" / "vocals.wav").write_bytes((full / "vocals.wav").read_bytes())
+    scored = []
+    monkeypatch.setattr("auricle.evaluate.evaluate_track", lambda *args: scored.append(args) or [])
+    with pytest.raises(FileNotFoundError, match=r"b_partial lacks stems \['bass', 'drums', 'other'\]"):
+        evaluate_tree(ref, ref)
+    assert scored == []
 
 
 def test_aggregate_medians_sort_oracle(rng):
@@ -146,9 +186,9 @@ def test_median_ordering_rules():
     report = aggregate_medians(rows)
     assert report.by_instrument["vocals"]["ssr_db"].median.value == 2.0
 
-    rows[2] = MetricRow("c", "vocals", None, MetricValue.infinite("dB"),
-                        MetricValue.finite(0.0, "dB"), MetricValue.finite(0.0, "us"),
-                        MetricValue.finite(0.0, "dB"))
+    rows[2] = MetricRow("c", "vocals", None, MetricValue.infinite(),
+                        MetricValue.finite(0.0), MetricValue.finite(0.0),
+                        MetricValue.finite(0.0))
     report = aggregate_medians(rows)
     assert report.by_instrument["vocals"]["ssr_db"].median.value == 2.0  # {1, 2, inf} -> 2
 
@@ -156,17 +196,17 @@ def test_median_ordering_rules():
 def test_undefined_excluded_with_count():
     rows = [
         _make_row("a", "drums", None, ssr=4.0),
-        MetricRow("b", "drums", None, MetricValue.undefined("dB"),
-                  MetricValue.finite(1.0, "dB"), MetricValue.finite(0.0, "us"),
-                  MetricValue.finite(0.0, "dB")),
+        MetricRow("b", "drums", None, MetricValue.undefined(),
+                  MetricValue.finite(1.0), MetricValue.finite(0.0),
+                  MetricValue.finite(0.0)),
     ]
     report = aggregate_medians(rows)
     cell = report.by_instrument["drums"]["ssr_db"]
     assert cell.median.value == 4.0 and cell.excluded == 1
     # an all-undefined cell stays undefined and reports the exclusion count
-    allu = [MetricRow("a", "other", None, MetricValue.undefined("dB"),
-                      MetricValue.finite(1.0, "dB"), MetricValue.finite(0.0, "us"),
-                      MetricValue.finite(0.0, "dB"))]
+    allu = [MetricRow("a", "other", None, MetricValue.undefined(),
+                      MetricValue.finite(1.0), MetricValue.finite(0.0),
+                      MetricValue.finite(0.0))]
     cell = aggregate_medians(allu).by_instrument["other"]["ssr_db"]
     assert cell.median.is_undefined and cell.excluded == 1
 
@@ -233,9 +273,9 @@ def test_write_report_formats(tmp_path):
 
 
 def test_report_infinite_and_undefined_rendering(tmp_path):
-    rows = [MetricRow("a", stem, None, MetricValue.infinite("dB"),
-                      MetricValue.undefined("dB"), MetricValue.finite(0.0, "us"),
-                      MetricValue.finite(0.5, "dB")) for stem in STEM_NAMES]
+    rows = [MetricRow("a", stem, None, MetricValue.infinite(),
+                      MetricValue.undefined(), MetricValue.finite(0.0),
+                      MetricValue.finite(0.5)) for stem in STEM_NAMES]
     write_report(aggregate_medians(rows), "csv", tmp_path / "r.csv")
     text = (tmp_path / "r.csv").read_text()
     assert "all,ssr_db,inf,inf,inf,inf,inf" in text

@@ -1,0 +1,41 @@
+"""Every public name resolves: each layer's ``__all__`` and the package imports.
+
+The benchmark tracer wraps each name in the ``__all__`` of the layers listed
+in ``bench/tracing.py``, so a stale entry there breaks every traced run.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import auricle
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _tracer_layers():
+    spec = importlib.util.spec_from_file_location("bench_tracing", REPO / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+@pytest.mark.parametrize("layer", _tracer_layers())
+def test_layer_all_resolves(layer):
+    module = importlib.import_module(f"auricle.{layer}")
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(auricle.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"auricle.{node.module}")
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"auricle.{node.module}.{alias.name}"
+            assert getattr(auricle, alias.asname or alias.name) is getattr(module, alias.name)
