@@ -80,21 +80,15 @@ def read_wav(path) -> AudioBuffer:
     except ValueError as exc:
         raise ValueError(f"unsupported or corrupt WAV file {path}: {exc}") from exc
 
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 2**15
-    elif data.dtype == np.int32:
-        # scipy stores 24-bit PCM in the top bytes of an int32, so a single
-        # divisor covers both 24- and 32-bit files.
-        samples = data.astype(np.float64) / 2**31
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
+    # scipy stores 24-bit PCM in the top bytes of an int32, so a single
+    # divisor covers both 24- and 32-bit files.
+    scale = {np.int16: 2**15, np.int32: 2**31, np.float32: 1, np.float64: 1}.get(data.dtype.type)
+    if scale is None:
         raise ValueError(f"unsupported WAV sample format {data.dtype} in {path}")
-
-    if samples.ndim == 1:
-        samples = samples[np.newaxis, :]
-    else:
-        samples = samples.T
+    # One pass converts and transposes, so every channel row is contiguous.
+    samples = np.atleast_2d(data.T).astype(np.float64, order="C")
+    if scale != 1:
+        samples /= scale
     if samples.shape[1] == 0:
         raise ValueError(f"zero-length audio in {path}")
     return AudioBuffer(samples, int(rate))

@@ -1,5 +1,6 @@
 """Framing, windowing, FFT convolution and RMS energy primitives."""
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,26 @@ class Frame:
         return self.samples.shape[1]
 
 
+class _Frames(Sequence):
+    """The frames of one signal, each cut, weighed and windowed when indexed."""
+
+    def __init__(self, buffer: AudioBuffer, starts: range, win: np.ndarray):
+        self._buffer, self._starts, self._win = buffer, starts, win
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Frames(self._buffer, self._starts[index], self._win)
+        start, n = self._starts[index], len(self._win)
+        block = self._buffer.samples[:, start : start + n]
+        weight = rms_weight(block)
+        if block.shape[1] < n:
+            block = np.pad(block, ((0, 0), (0, n - block.shape[1])))
+        return Frame(block * self._win, weight, self._buffer.sample_rate)
+
+
 def rms_weight(samples) -> float:
     """Max over channels of sqrt(mean(x^2)). Accepts (n,) or (channels, n)."""
     arr = np.atleast_2d(np.asarray(samples, dtype=np.float64))
@@ -54,13 +75,14 @@ def frame_signal(
     hop: float,
     window: str = "tukey",
     tukey_alpha: float = 0.5,
-) -> list[Frame]:
+) -> Sequence[Frame]:
     """Cut ``buffer`` into frames of ``frame_len`` seconds every ``hop`` seconds.
 
     Frame t starts at sample t*hop*fs. The last frame is zero-padded to full
     length but its weight is computed from the real samples only; a signal
     shorter than one frame yields a single padded frame. Weights are taken
-    before windowing so the silence gate is not biased by edge taper.
+    before windowing so the silence gate is not biased by edge taper. Each
+    frame is built when indexed, so only the frames in use are held.
     """
     fs = buffer.sample_rate
     n = int(round(frame_len * fs))
@@ -70,16 +92,7 @@ def frame_signal(
     if h < 1:
         raise ValueError(f"hop of {hop} s is under 1 sample at {fs} Hz")
 
-    win = _make_window(window, n, tukey_alpha)
-    total = buffer.num_samples
-    frames = []
-    for start in range(0, total, h):
-        block = buffer.samples[:, start : start + n]
-        weight = rms_weight(block)
-        if block.shape[1] < n:
-            block = np.pad(block, ((0, 0), (0, n - block.shape[1])))
-        frames.append(Frame(block * win, weight, fs))
-    return frames
+    return _Frames(buffer, range(0, buffer.num_samples, h), _make_window(window, n, tukey_alpha))
 
 
 def fft_convolve(signal, kernel) -> np.ndarray:

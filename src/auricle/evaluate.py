@@ -97,6 +97,7 @@ def evaluate_track(
                 delta_ild_db=delta_ild(ref, est),
             )
         )
+        del ref, est  # free this stem pair before the next one is read
     return rows
 
 

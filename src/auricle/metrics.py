@@ -220,18 +220,19 @@ def signal_itd(buffer: AudioBuffer, cfg: MetricConfig = DEFAULT_CONFIG) -> Metri
 
 
 def signal_ild(buffer: AudioBuffer) -> MetricValue:
-    """Whole-signal level difference 10*log10(sum L^2 / sum R^2) in dB."""
+    """Whole-signal level difference 10*log10(sum L^2 / sum R^2) in dB.
+
+    An infinite ratio (silent right channel) or one past the float range is
+    positive infinity; a zero or underflowing ratio is NEG_DB_CLAMP.
+    """
     if buffer.num_channels != 2:
         raise ValueError("ILD needs a stereo signal")
     energy_l = float(np.sum(buffer.left**2))
     energy_r = float(np.sum(buffer.right**2))
     if energy_l == 0.0 and energy_r == 0.0:
         return MetricValue.undefined()
-    if energy_r == 0.0:
-        return MetricValue.infinite()
-    if energy_l == 0.0:
-        return MetricValue.finite(NEG_DB_CLAMP)
-    return MetricValue.finite(10.0 * math.log10(energy_l / energy_r))
+    ratio = energy_l / energy_r if energy_r else math.inf
+    return MetricValue.from_float(10.0 * math.log10(ratio) if ratio else -math.inf)
 
 
 def _check_comparable(reference: AudioBuffer, estimate: AudioBuffer):
@@ -413,8 +414,6 @@ def ssr_srr(
     n = int(round(cfg.ssr_window * fs))
     hop = int(round(cfg.ssr_hop * fs))
     max_delay = cfg.proj_delay_samples(fs)
-    # Right padding covers the last frame window plus the largest shift.
-    context = np.pad(reference.samples, ((0, 0), (max_delay, max_delay + n)))
 
     ssr_frames = []
     srr_frames = []
@@ -424,9 +423,13 @@ def ssr_srr(
         est_block = estimate.samples[:, start : start + n]
         if est_block.shape[1] < n:
             est_block = np.pad(est_block, ((0, 0), (0, n - est_block.shape[1])))
-        offset = max_delay + start
-        dec = _project(context, offset, est_block, max_delay)
-        ref_energy = _energy(context[:, offset : offset + n])
+        # The frame and max_delay samples each side, zero-filled past the signal's ends.
+        lo = max(start - max_delay, 0)
+        block = reference.samples[:, lo : start + n + max_delay]
+        left = lo - start + max_delay
+        context = np.pad(block, ((0, 0), (left, n + 2 * max_delay - left - block.shape[1])))
+        dec = _project(context, max_delay, est_block, max_delay)
+        ref_energy = _energy(context[:, max_delay : max_delay + n])
         ssr_frames.append(_energy_ratio_db(ref_energy, _energy(dec.spatial_error)))
         srr_frames.append(_energy_ratio_db(_energy(dec.projected), _energy(dec.residual_error)))
 

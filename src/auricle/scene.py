@@ -144,8 +144,9 @@ def binauralize(mono: AudioBuffer, pair: HrirPair) -> AudioBuffer:
 def mix_and_normalize(stems) -> tuple[AudioBuffer, float, list[AudioBuffer]]:
     """Sum stems and scale everything so the mixture peaks at 0.99 at most.
 
-    Quiet mixes are left untouched (gain 1.0). The mixture is assembled from
-    the scaled stems, so mixture == sum(scaled stems) exactly.
+    Quiet mixes are left untouched (gain 1.0). Louder stems are scaled in
+    place, each buffer once however often it is listed, and summed again, so
+    mixture == sum(returned stems) exactly.
     """
     stems = list(stems)
     if not stems:
@@ -156,17 +157,19 @@ def mix_and_normalize(stems) -> tuple[AudioBuffer, float, list[AudioBuffer]]:
         if s.samples.shape != shape or s.sample_rate != rate:
             raise ValueError("stems must share length, channel count and sample rate")
 
-    raw = np.zeros(shape)
-    for s in stems:
-        raw += s.samples
-    peak = float(np.max(np.abs(raw)))
-    gain = PEAK_TARGET / peak if peak > PEAK_TARGET else 1.0
-
-    scaled = [AudioBuffer(gain * s.samples, rate) for s in stems]
     mix = np.zeros(shape)
-    for s in scaled:
+    for s in stems:
         mix += s.samples
-    return AudioBuffer(mix, rate), gain, scaled
+    peak = float(np.max(np.abs(mix)))
+    if peak <= PEAK_TARGET:
+        return AudioBuffer(mix, rate), 1.0, stems
+    gain = PEAK_TARGET / peak
+    for samples in {id(s.samples): s.samples for s in stems}.values():
+        samples *= gain
+    mix[:] = 0.0
+    for s in stems:
+        mix += s.samples
+    return AudioBuffer(mix, rate), gain, stems
 
 
 def synthesize_track(
@@ -208,6 +211,7 @@ def synthesize_track(
     if rate != db.sample_rate:
         raise ValueError(f"track rate {rate} Hz does not match HRIR rate {db.sample_rate} Hz")
 
+    # The rendered stems belong to this call, so the mix may scale them in place.
     rendered = [binauralize(sources[stem], db[layout.assignments[stem]]) for stem in STEM_NAMES]
     mixture, gain, scaled = mix_and_normalize(rendered)
 

@@ -99,6 +99,28 @@ def test_mono_roundtrip(tmp_path):
     assert np.array_equal(back.samples, buf.samples)
 
 
+_WRITERS = {  # name -> (write float data (n, 2) in [-1, 1) to a file, divisor on read)
+    "pcm16": (lambda p, d: wavfile.write(str(p), 44100, (d * 2**15).astype(np.int16)), 2**15),
+    "pcm24": (lambda p, d: p.write_bytes(_pcm24_bytes((d * 2**23).astype(int).ravel(), 44100, 2)), 2**31),
+    "int32": (lambda p, d: wavfile.write(str(p), 44100, (d * 2**31).astype(np.int32)), 2**31),
+    "float32": (lambda p, d: wavfile.write(str(p), 44100, d.astype(np.float32)), 1),
+    "mono": (lambda p, d: wavfile.write(str(p), 44100, (d[:, 0] * 2**15).astype(np.int16)), 2**15),
+}
+
+
+@pytest.mark.parametrize("encoding", list(_WRITERS))
+def test_read_rows_contiguous_and_exact(tmp_path, rng, encoding):
+    """Channel rows are C-contiguous and equal the file's codes / divisor bit for bit."""
+    write, divisor = _WRITERS[encoding]
+    write(tmp_path / "x.wav", rng.uniform(-1, 1, size=(500, 2)))
+    _, data = wavfile.read(str(tmp_path / "x.wav"))
+    buf = read_wav(tmp_path / "x.wav")
+    assert buf.samples.flags.c_contiguous
+    expected = np.atleast_2d((data.astype(np.float64) / divisor).T)
+    assert buf.samples.shape == expected.shape == ((1, 500) if encoding == "mono" else (2, 500))
+    assert [float.hex(v) for v in buf.samples.ravel()] == [float.hex(v) for v in expected.ravel()]
+
+
 def test_read_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_wav(tmp_path / "missing.wav")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import windows
 
 from auricle import AudioBuffer, fft_convolve, frame_signal, rms_weight
 
@@ -82,6 +83,29 @@ def test_frame_count_no_overlap(rng):
     # general rule: ceil(N / hop) frames when frame_len == hop
     buf2 = AudioBuffer(rng.normal(size=(2, 2 * fs + 1)), fs)
     assert len(frame_signal(buf2, 0.5, 0.5)) == 5
+
+
+def test_frames_match_eager_loop_oracle(rng):
+    """Frames built on demand equal an eager loop over the starts; indexing and slices agree."""
+    fs = 8000
+    buf = AudioBuffer(rng.normal(size=(2, 3 * fs + 123)), fs)
+    frames = frame_signal(buf, 0.25, 0.1, window="tukey", tukey_alpha=0.5)
+    n, hop = 2000, 800
+    win = windows.tukey(n, alpha=0.5, sym=False)
+    oracle = []
+    for start in range(0, buf.num_samples, hop):
+        block = buf.samples[:, start : start + n]
+        padded = np.pad(block, ((0, 0), (0, n - block.shape[1])))
+        oracle.append((padded * win, float(np.max(np.sqrt(np.mean(block**2, axis=1))))))
+    assert len(frames) == len(oracle) == 31
+    for frame, (samples, weight) in zip(frames, oracle):
+        assert np.array_equal(frame.samples, samples) and frame.weight == weight
+    assert np.array_equal(frames[-1].samples, oracle[-1][0])
+    picked = frames[3:12:4]
+    assert len(picked) == 3
+    assert [f.weight for f in picked] == [w for _, w in oracle[3:12:4]]
+    with pytest.raises(IndexError):
+        frames[31]
 
 
 def test_short_signal_single_padded_frame():

@@ -223,6 +223,18 @@ def test_aggregate_permutation_invariant(rng):
             assert a.by_instrument[stem][m].median.value == b.by_instrument[stem][m].median.value
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rows=st.lists(metric_rows, min_size=1, max_size=12))
+def test_aggregate_medians_invariant_to_row_order(data, rows):
+    shuffled = data.draw(st.permutations(rows))
+    a, b = aggregate_medians(rows), aggregate_medians(shuffled)
+    cells = [(a.overall, b.overall)] + [(a.by_instrument[s], b.by_instrument[s]) for s in STEM_NAMES]
+    for cell_a, cell_b in cells:
+        for m in METRIC_FIELDS:
+            assert (cell_a[m].count, cell_a[m].excluded) == (cell_b[m].count, cell_b[m].excluded)
+            assert repr(cell_a[m].median.as_float()) == repr(cell_b[m].median.as_float())
+
+
 def test_bin_boundaries():
     assert _bin_index(-90) == 0  # [-90, -60)
     assert _bin_index(-60) == 1

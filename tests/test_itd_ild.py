@@ -128,6 +128,20 @@ def test_ild_edge_cases(rng):
     assert signal_ild(both_zero).is_undefined
 
 
+def test_ild_ratio_past_float_range_saturates(rng):
+    x = rng.normal(size=100) * 0.1
+    # sum L^2 / sum R^2 overflows to inf: positive infinity, not a "finite" inf
+    overflow = AudioBuffer(np.stack([x, 1e-160 * x]), FS)
+    assert signal_ild(overflow).is_infinite
+    assert delta_ild(overflow, overflow).value == 0.0
+    # a nonzero left energy whose ratio underflows to 0: the clamp, not a log10 domain error
+    tiny = np.zeros(100)
+    tiny[0] = 2.3e-162
+    underflow = AudioBuffer(np.stack([tiny, 10 * x]), FS)
+    assert np.sum(underflow.left**2) > 0.0
+    assert signal_ild(underflow).value == -200.0
+
+
 def test_delta_itd_identity_and_common_delay(rng):
     ref = noise_buffer(rng, seconds=2.0)
     assert delta_itd(ref, ref).value == 0.0
