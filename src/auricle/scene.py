@@ -160,7 +160,7 @@ def mix_and_normalize(stems) -> tuple[AudioBuffer, float, list[AudioBuffer]]:
     mix = np.zeros(shape)
     for s in stems:
         mix += s.samples
-    peak = float(np.max(np.abs(mix)))
+    peak = float(max(mix.max(), -mix.min()))  # no signal-sized |mix| temporary
     if peak <= PEAK_TARGET:
         return AudioBuffer(mix, rate), 1.0, stems
     gain = PEAK_TARGET / peak
@@ -198,7 +198,7 @@ def synthesize_track(
             sources[stem] = downmix_mono(stereo)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    # only the mono sources stay alive while the song is rendered and mixed
+    # only the mono sources stay alive while the song is rendered
     del stereo
 
     lengths = {s.num_samples for s in sources.values()}
@@ -211,8 +211,8 @@ def synthesize_track(
     if rate != db.sample_rate:
         raise ValueError(f"track rate {rate} Hz does not match HRIR rate {db.sample_rate} Hz")
 
-    # The rendered stems belong to this call, so the mix may scale them in place.
-    rendered = [binauralize(sources[stem], db[layout.assignments[stem]]) for stem in STEM_NAMES]
+    # Sources are freed as rendered; the stems are this call's, so the mix may scale them in place.
+    rendered = [binauralize(sources.pop(stem), db[layout.assignments[stem]]) for stem in STEM_NAMES]
     mixture, gain, scaled = mix_and_normalize(rendered)
 
     out_dir.mkdir(parents=True, exist_ok=True)
