@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len
 
 from .audio import AudioBuffer
@@ -318,50 +319,127 @@ class SpatialDecomposition:
     reference_silent: np.ndarray
 
 
-def _project(context: np.ndarray, offset: int, est: np.ndarray, max_delay: int):
-    """Least-squares per-channel gain+delay projection of a reference block onto est.
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two 1-D arrays by numpy's pairwise sum, never BLAS, so
+    its bits do not depend on the BLAS vendor, kernel or thread count."""
+    return float(np.add.reduce(a * b))
 
-    ``context[:, offset : offset + n]`` is the undelayed reference block for
-    an ``(channels, n)`` estimate; delay d reads
-    ``context[:, offset - d : offset - d + n]`` for |d| <= max_delay, so the
-    caller decides whether shifted-in samples are zeros or surrounding
-    signal. Ties on the residual go to the smaller |d|, then the negative d.
-    A channel whose every shift has zero energy is flagged silent and
-    projected to zero.
+
+def _energy(block: np.ndarray) -> float:
+    return sum(_dot(row, row) for row in block)
+
+
+def _span(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """``x[..., start:stop]`` reading zeros outside the signal; a view when inside it."""
+    length = x.shape[-1]
+    if start >= 0 and stop <= length:
+        return x[..., start:stop]
+    out = np.zeros(x.shape[:-1] + (stop - start,))
+    lo, hi = max(start, 0), min(stop, length)
+    if lo < hi:
+        out[..., lo - start : hi - start] = x[..., lo:hi]
+    return out
+
+
+def _segment_terms(ref: np.ndarray, est: np.ndarray, a: int, b: int, max_delay: int) -> np.ndarray:
+    """Per-lag cross terms and shifted-reference energies of samples [a, b).
+
+    Returns ``terms`` of shape (2, channels, 2 * max_delay + 1); index i
+    holds delay d = max_delay - i, and ``terms[0]`` and ``terms[1]`` are the
+    sums over k in [a, b) of ``ref[k - d] * est[k]`` and ``ref[k - d] ** 2``,
+    reading zeros outside the signals. The cross term is one einsum over
+    sliding windows, the energy a cumulative sum over the segment's region.
     """
-    channels, n = est.shape
-    projected = np.zeros_like(est)
+    lags = 2 * max_delay + 1
+    inside = min(b, est.shape[1]) - a  # est samples of the segment inside the signal
+    region = _span(ref, a - max_delay, b + max_delay)
+    terms = np.zeros((2, ref.shape[0], lags))
+    if inside > 0:
+        windows = sliding_window_view(region[:, : inside + lags - 1], inside, axis=-1)
+        terms[0] = np.einsum("cij,cj->ci", windows, est[:, a : a + inside])
+    squared = np.zeros((ref.shape[0], region.shape[1] + 1))
+    np.cumsum(region * region, axis=-1, out=squared[:, 1:])
+    terms[1] = squared[:, b - a :] - squared[:, :lags]
+    return terms
+
+
+def _frame_cuts(start: int, n: int, hop: int, length: int) -> list[int]:
+    """Segment boundaries of the frame [start, start + n) on the grid range(0, length, hop).
+
+    Every grid frame's start and end is a cut, so frames that overlap share
+    their segments.
+    """
+    inner = set(range(start + hop, min(start + n, length), hop))
+    inner.update(g + n for g in range(start - hop, max(start - n, -1), -hop))
+    return [start, *sorted(inner), start + n]
+
+
+def _project(
+    ref: np.ndarray, est: np.ndarray, start: int, n: int, max_delay: int, terms: np.ndarray
+) -> SpatialDecomposition:
+    """Gain+delay projection of the reference frame at ``start`` onto the estimate frame.
+
+    ``terms`` are the frame's per-lag cross terms and energies (see
+    ``_segment_terms``). Ties on the residual go to the smaller |d|, then the
+    negative d. A channel whose every shift has zero energy is flagged silent
+    and projected to zero.
+    """
+    channels = ref.shape[0]
+    inside = min(n, ref.shape[1] - start)  # frame samples inside the signals
+    projected = np.zeros((channels, n))
     gain = np.zeros(channels)
     delay = np.zeros(channels, dtype=int)
     silent = np.zeros(channels, dtype=bool)
+    cross, energy = terms
+    usable = energy > 0.0
+    scores = np.full_like(energy, -np.inf)
+    scores[usable] = cross[usable] ** 2 / energy[usable]
     for c in range(channels):
-        region = context[c, offset - max_delay : offset + max_delay + n]
-        corr = np.correlate(region, est[c], mode="valid")  # index i <-> delay d = max_delay - i
-        squared = np.cumsum(np.concatenate(([0.0], region**2)))
-        energies = squared[n:] - squared[: 2 * max_delay + 1]
-        usable = energies > 0.0
-        if not np.any(usable):
+        if not usable[c].any():
             silent[c] = True
             continue
-        scores = np.full_like(energies, -np.inf)
-        scores[usable] = corr[usable] ** 2 / energies[usable]
-        delays = max_delay - np.nonzero(scores == scores.max())[0]
+        delays = max_delay - np.nonzero(scores[c] == scores[c].max())[0]
         d = int(min(delays, key=lambda t: (abs(t), t)))
         # Recompute the gain with plain dot products on the winning segment:
         # when est is exactly the (scaled) segment this reproduces the scale
         # exactly, so the residual cancels to zero rather than to rounding noise.
-        seg = context[c, offset - d : offset - d + n]
-        gain[c] = np.dot(seg, est[c]) / np.dot(seg, seg)
+        seg = _span(ref[c], start - d, start - d + n)
+        gain[c] = _dot(seg, _span(est[c], start, start + n)) / _dot(seg, seg)
         delay[c] = d
-        projected[c] = gain[c] * seg
+        np.multiply(seg, gain[c], out=projected[c])
+    # Past the signals' end both frames read zeros, so the errors there are
+    # +-projected; the frames themselves are never copied.
+    spatial_error = projected.copy()
+    spatial_error[:, :inside] -= ref[:, start : start + inside]
+    residual_error = np.negative(projected)
+    residual_error[:, :inside] += est[:, start : start + inside]
     return SpatialDecomposition(
         projected=projected,
-        spatial_error=projected - context[:, offset : offset + n],
-        residual_error=est - projected,
+        spatial_error=spatial_error,
+        residual_error=residual_error,
         gain=gain,
         delay=delay,
         reference_silent=silent,
     )
+
+
+def _projections(ref: np.ndarray, est: np.ndarray, n: int, hop: int, max_delay: int, starts):
+    """Yield ``(start, decomposition)`` for each frame start in ``starts``.
+
+    Frames are ``[start, start + n)`` on the grid ``range(0, length, hop)``,
+    reading zeros past the signals' ends; ``starts`` is an increasing subset
+    of the grid. Delay d reads the reference ``d`` samples earlier, from the
+    surrounding signal. Each segment between frame boundaries gets its
+    per-lag terms computed once, and a frame's scores are the sum of its
+    segments' terms in segment order; only the current frame's segments are
+    held, and one frame's arrays are built at a time.
+    """
+    terms = {}
+    for start in starts:
+        cuts = _frame_cuts(start, n, hop, ref.shape[1])
+        spans = list(zip(cuts, cuts[1:]))
+        terms = {ab: terms[ab] if ab in terms else _segment_terms(ref, est, *ab, max_delay) for ab in spans}
+        yield start, _project(ref, est, start, n, max_delay, sum(terms[ab] for ab in spans))
 
 
 def project_gain_delay(
@@ -372,19 +450,17 @@ def project_gain_delay(
     Each channel independently searches integer delays within
     +-proj_max_delay (reference shifted with zero fill) and applies the
     closed-form least-squares gain. For estimates that really are per-channel
-    gain+delay copies of the reference frame, the residual is zero.
+    gain+delay copies of the reference frame, the residual is zero. This is
+    ``ssr_srr``'s kernel on one frame that is one segment.
     """
     ref = ref_frame.samples
     est = est_frame.samples
     if ref.shape != est.shape:
         raise ValueError(f"frame shapes differ: {ref.shape} vs {est.shape}")
+    n = ref.shape[1]
     max_delay = cfg.proj_delay_samples(ref_frame.sample_rate)
-    context = np.pad(ref, ((0, 0), (max_delay, max_delay)))
-    return _project(context, max_delay, est, max_delay)
-
-
-def _energy(block: np.ndarray) -> float:
-    return sum(float(np.dot(row, row)) for row in block)
+    _, dec = next(_projections(ref, est, n, n, max_delay, [0]))
+    return dec
 
 
 def _energy_ratio_db(numerator: float, denominator: float) -> float:
@@ -407,31 +483,27 @@ def ssr_srr(
     signal so a globally delayed estimate incurs no frame-boundary penalty.
     Frame values with a zero error denominator are positive infinity and sort
     above all finite values in the median. Lengths may differ by at most one
-    frame (see ``align_pair``).
+    frame (see ``align_pair``). Overlapping frames share the per-lag sums of
+    the segments between frame boundaries, and no sum goes through BLAS, so
+    the bits do not depend on the host's BLAS.
     """
     reference, estimate = align_pair(reference, estimate, cfg)
     fs = reference.sample_rate
     n = int(round(cfg.ssr_window * fs))
     hop = int(round(cfg.ssr_hop * fs))
-    max_delay = cfg.proj_delay_samples(fs)
+    ref, est = reference.samples, estimate.samples
+    starts = [
+        start
+        for start in range(0, reference.num_samples, hop)
+        if rms_weight(ref[:, start : start + n]) >= cfg.silence_threshold
+    ]
 
     ssr_frames = []
     srr_frames = []
-    for start in range(0, reference.num_samples, hop):
-        if rms_weight(reference.samples[:, start : start + n]) < cfg.silence_threshold:
-            continue
-        est_block = estimate.samples[:, start : start + n]
-        if est_block.shape[1] < n:
-            est_block = np.pad(est_block, ((0, 0), (0, n - est_block.shape[1])))
-        # The frame and max_delay samples each side, zero-filled past the signal's ends.
-        lo = max(start - max_delay, 0)
-        block = reference.samples[:, lo : start + n + max_delay]
-        left = lo - start + max_delay
-        context = np.pad(block, ((0, 0), (left, n + 2 * max_delay - left - block.shape[1])))
-        dec = _project(context, max_delay, est_block, max_delay)
-        ref_energy = _energy(context[:, max_delay : max_delay + n])
-        ssr_frames.append(_energy_ratio_db(ref_energy, _energy(dec.spatial_error)))
+    for start, dec in _projections(ref, est, n, hop, cfg.proj_delay_samples(fs), starts):
+        ssr_frames.append(_energy_ratio_db(_energy(ref[:, start : start + n]), _energy(dec.spatial_error)))
         srr_frames.append(_energy_ratio_db(_energy(dec.projected), _energy(dec.residual_error)))
+        del dec  # free this frame's arrays before the next frame's are built
 
     if not ssr_frames:
         return MetricValue.undefined(), MetricValue.undefined()

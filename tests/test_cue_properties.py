@@ -1,4 +1,4 @@
-"""Property tests for the interaural-cue deltas on lazily framed signals.
+"""Property tests for the interaural cues and ratios on lazily framed signals.
 
 Signals are noise with a per-channel gain, an interaural delay and a silent
 span, at several ITD frame lengths, so frames are gated, partial at the end
@@ -9,7 +9,17 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from auricle import AudioBuffer, MetricConfig, delta_ild, delta_itd, frame_signal, signal_ild, signal_itd_lag
+from auricle import (
+    AudioBuffer,
+    MetricConfig,
+    delta_ild,
+    delta_itd,
+    frame_signal,
+    gcc_phat_tdoa,
+    signal_ild,
+    signal_itd_lag,
+    ssr_srr,
+)
 
 from helpers import shift_zero_fill
 
@@ -25,14 +35,18 @@ def _stereo(seed, n, lag, gains, silence):
     return AudioBuffer(data, FS)
 
 
-signals = st.builds(
-    _stereo,
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(100, int(1.2 * FS)),
-    lag=st.integers(-60, 60),
-    gains=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-    silence=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-)
+def _signals(n=st.integers(100, int(1.2 * FS))):
+    return st.builds(
+        _stereo,
+        seed=st.integers(0, 2**32 - 1),
+        n=n,
+        lag=st.integers(-60, 60),
+        gains=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        silence=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+
+
+signals = _signals()
 configs = st.sampled_from([MetricConfig(itd_frame_len=t) for t in (0.02, 0.1, 0.5)])
 
 
@@ -77,3 +91,50 @@ def test_deltas_unchanged_by_common_power_of_two_gain(ref, est, cfg, k):
     scaled_ref, scaled_est = (AudioBuffer(b.samples * 2.0**k, FS) for b in (ref, est))
     assert delta_itd(scaled_ref, scaled_est, cfg) == delta_itd(ref, est, cfg)
     assert delta_ild(scaled_ref, scaled_est) == delta_ild(ref, est)
+
+
+def _swap(buf):
+    return AudioBuffer(buf.samples[::-1].copy(), FS)
+
+
+def _top_vote_is_a_plus_minus_tie(buf, cfg):
+    """The heaviest ITD vote is shared by a lag and its negation; the tie rule picks the negative one."""
+    votes = {}
+    for frame in frame_signal(buf, cfg.itd_frame_len, cfg.itd_frame_len, "tukey", cfg.tukey_alpha):
+        if frame.weight >= cfg.silence_threshold:
+            lag = gcc_phat_tdoa(frame, cfg)
+            votes[lag] = votes.get(lag, 0.0) + frame.weight
+    top = max(votes.values(), default=None)
+    return any(lag and votes.get(-lag) == top for lag, weight in votes.items() if weight == top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref=signals, data=st.data(), cfg=configs)
+def test_channel_swap_negates_cues_and_keeps_ratios(ref, data, cfg):
+    """Channels are projected independently and their energies added commutatively,
+    so SSR/SRR keep every bit; ITD and ILD change sign.
+
+    ITD is compared only where every counted frame has both channels above
+    the gate (a near-silent channel puts the cross-spectrum at the PHAT
+    floor, whose lag does not flip) and the heaviest vote is not shared by a
+    lag and its negation (the tie rule picks the negative one both times).
+    """
+    est = data.draw(_signals(n=st.just(ref.num_samples)))
+    assert [v.as_float().hex() for v in ssr_srr(_swap(ref), _swap(est), cfg)] == [
+        v.as_float().hex() for v in ssr_srr(ref, est, cfg)
+    ]
+
+    if _clear_of_gate(ref, cfg, 0) and not _top_vote_is_a_plus_minus_tie(ref, cfg):
+        lag = signal_itd_lag(ref, cfg)
+        assert signal_itd_lag(_swap(ref), cfg) == (None if lag is None else -lag)
+
+    ild, swapped = signal_ild(ref), signal_ild(_swap(ref))
+    if ild.is_undefined:
+        assert swapped.is_undefined
+    elif ild.is_infinite or swapped.is_infinite:
+        # A silent channel gives +inf against the -200 dB clamp; an energy ratio
+        # past the float range gives +inf against a finite value below -3082 dB.
+        mirror = swapped if ild.is_infinite else ild
+        assert mirror.is_finite and (mirror.value == -200.0 or mirror.value < -3082.0)
+    else:
+        assert abs(swapped.value + ild.value) <= 1e-12
