@@ -1,6 +1,8 @@
 """Command-line entry points: synthesize, evaluate, report."""
 
 import argparse
+import ctypes
+import os
 import sys
 
 from .evaluate import evaluate_tree, read_rows_csv, write_rows_csv
@@ -10,6 +12,41 @@ from .report import aggregate_medians, bin_by_angle, write_report
 from .scene import synthesize_dataset
 
 __all__ = ["run_cli", "main"]
+
+# glibc mallopt parameters and the size from which a buffer gets its own mapping.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 4 << 20
+
+
+def _map_large_buffers() -> None:
+    """Give every buffer of 4 MiB or more its own mapping, returned to the system when freed.
+
+    By default glibc raises its mmap threshold to the size of each large
+    block freed, up to 32 MiB, so signal-sized arrays come to live on the
+    heap. Whether a freed one is reused or fresh pages are taken then
+    depends on where small objects sit, and the peak memory of identical
+    runs differs by whole buffers. A fixed threshold keeps the peak at the
+    buffers that are alive. Frame-sized arrays stay on the heap, which keeps
+    at most twice the threshold free at its top. Other C libraries are left
+    as they are.
+    """
+    try:
+        name = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError):  # no confstr, or a C library that does not know the name
+        return
+    if not name.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
+# Set on import, not in run_cli: a process that loads the program to run it
+# may read audio before its first command, and the heap it builds then counts.
+_map_large_buffers()
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -4,11 +4,15 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import oaconvolve, windows
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.signal import windows
 
 from .audio import AudioBuffer
 
 __all__ = ["Frame", "frame_signal", "fft_convolve", "rms_weight"]
+
+# FFT samples in one pass of fft_convolve (1 MiB of float64)
+_PASS_SAMPLES = 1 << 17
 
 
 @dataclass
@@ -99,7 +103,9 @@ def fft_convolve(signal, kernel) -> np.ndarray:
     """Linear convolution of two 1-D sequences by overlap-add FFT blocks.
 
     Output length is len(signal) + len(kernel) - 1, matching direct
-    time-domain convolution to within float64 rounding.
+    time-domain convolution to within float64 rounding. Blocks are
+    transformed a few at a time, so besides the output only a fixed,
+    frame-sized set of temporaries is alive.
     """
     x = np.asarray(signal, dtype=np.float64)
     k = np.asarray(kernel, dtype=np.float64)
@@ -107,4 +113,26 @@ def fft_convolve(signal, kernel) -> np.ndarray:
         raise ValueError("fft_convolve takes 1-D sequences")
     if x.size == 0 or k.size == 0:
         raise ValueError("fft_convolve inputs must be non-empty")
-    return oaconvolve(x, k)
+    n, taps = x.size, k.size
+    size = n + taps - 1
+    # One block when the output fits in max(8 kernel lengths, 1024) samples,
+    # else blocks of that size. A block is at least twice the kernel, so its
+    # tail (taps - 1 samples) overlaps only the next block.
+    nfft = next_fast_len(max(min(size, max(8 * taps, 1024)), 2 * taps))
+    step = nfft - taps + 1  # signal samples per block
+    per_pass = max(1, _PASS_SAMPLES // nfft) * step
+    spectrum = rfft(k, nfft)
+    out = np.zeros(size)
+    for first in range(0, n, per_pass):
+        chunk = x[first : first + per_pass]
+        count = -(-chunk.size // step)
+        blocks = np.zeros((count, step))
+        blocks.reshape(-1)[: chunk.size] = chunk
+        y = irfft(rfft(blocks, nfft) * spectrum, nfft)
+        # Block i starts at i * step; its last taps - 1 samples overlap block i + 1.
+        acc = np.zeros((count + 1) * step)
+        acc[: count * step] = y[:, :step].reshape(-1)
+        acc[step:].reshape(count, step)[:, : taps - 1] += y[:, step:]
+        span = min(acc.size, size - first)
+        out[first : first + span] += acc[:span]
+    return out

@@ -125,7 +125,9 @@ def downmix_mono(stereo: AudioBuffer) -> AudioBuffer:
     """Average the two channels into one."""
     if stereo.num_channels != 2:
         raise ValueError(f"downmix expects 2 channels, got {stereo.num_channels}")
-    return AudioBuffer((stereo.left + stereo.right) / 2.0, stereo.sample_rate)
+    mono = stereo.left + stereo.right
+    mono /= 2.0
+    return AudioBuffer(mono, stereo.sample_rate)
 
 
 def binauralize(mono: AudioBuffer, pair: HrirPair) -> AudioBuffer:

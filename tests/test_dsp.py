@@ -64,6 +64,17 @@ def test_convolve_linearity(rng):
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
+@pytest.mark.parametrize("n, m", [(250_000, 100), (300_001, 1024)])
+def test_convolve_across_passes_matches_numpy(rng, n, m):
+    # Both signals take three passes of FFT blocks, so block tails cross the
+    # joins between passes.
+    x = rng.normal(size=n)
+    k = rng.normal(size=m)
+    got = fft_convolve(x, k)
+    assert got.shape == (n + m - 1,)
+    assert np.max(np.abs(got - np.convolve(x, k))) <= 1e-9
+
+
 def test_convolve_rejects_empty():
     with pytest.raises(ValueError):
         fft_convolve([], [1.0])
