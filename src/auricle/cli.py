@@ -49,6 +49,18 @@ def _map_large_buffers() -> None:
 _map_large_buffers()
 
 
+# evaluate flag, the MetricConfig field it sets, flag units per field unit, help
+_METRIC_FLAGS = (
+    ("--itd-frame", "itd_frame_len", 1.0, "ITD frame length in s (hop equals it)"),
+    ("--itd-threshold", "silence_threshold", 1.0, "silent-frame RMS threshold"),
+    ("--max-lag-ms", "max_lag", 1000.0, "GCC-PHAT lag search range in ms"),
+    ("--ssr-window", "ssr_window", 1.0, "SSR/SRR frame length in s"),
+    ("--ssr-hop", "ssr_hop", 1.0, "SSR/SRR hop in s"),
+    ("--proj-max-delay-ms", "proj_max_delay", 1000.0, "projection delay search range in ms"),
+    ("--tukey-alpha", "tukey_alpha", 1.0, "Tukey taper for ITD frames"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="auricle",
@@ -70,16 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True, help="per-(track, stem) metrics CSV to write")
     ev.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     defaults = MetricConfig()
-    for flag, default, text in (
-        ("--itd-frame", defaults.itd_frame_len, "ITD frame length in s (hop equals it)"),
-        ("--itd-threshold", defaults.silence_threshold, "silent-frame RMS threshold"),
-        ("--max-lag-ms", defaults.max_lag * 1000, "GCC-PHAT lag search range in ms"),
-        ("--ssr-window", defaults.ssr_window, "SSR/SRR frame length in s"),
-        ("--ssr-hop", defaults.ssr_hop, "SSR/SRR hop in s"),
-        ("--proj-max-delay-ms", defaults.proj_max_delay * 1000, "projection delay search range in ms"),
-        ("--tukey-alpha", defaults.tukey_alpha, "Tukey taper for ITD frames"),
-    ):
-        ev.add_argument(flag, type=float, default=default, help=text)
+    for flag, field, scale, text in _METRIC_FLAGS:
+        ev.add_argument(flag, type=float, default=getattr(defaults, field) * scale, help=text)
 
     rep = sub.add_parser("report", help="aggregate a metrics CSV into tables")
     rep.add_argument("--in", dest="input", required=True, help="metrics CSV from 'evaluate'")
@@ -105,15 +109,10 @@ def run_cli(argv) -> int:
             )
             print(f"synthesized {len(manifests)} tracks into {args.out}")
         elif args.command == "evaluate":
-            cfg = MetricConfig(
-                itd_frame_len=args.itd_frame,
-                tukey_alpha=args.tukey_alpha,
-                silence_threshold=args.itd_threshold,
-                max_lag=args.max_lag_ms / 1000.0,
-                ssr_window=args.ssr_window,
-                ssr_hop=args.ssr_hop,
-                proj_max_delay=args.proj_max_delay_ms / 1000.0,
-            )
+            cfg = MetricConfig(**{
+                field: getattr(args, flag[2:].replace("-", "_")) / scale
+                for flag, field, scale, _ in _METRIC_FLAGS
+            })
             rows = evaluate_tree(args.reference, args.estimates, cfg, jobs=args.jobs)
             write_rows_csv(rows, args.out)
             print(f"wrote {len(rows)} rows to {args.out}")

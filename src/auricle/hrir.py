@@ -81,11 +81,15 @@ class HrirDatabase:
         return self.entries[0].sample_rate
 
 
-def _angle_filenames(directory: Path) -> dict:
+def _read_index(directory: Path) -> tuple[str, dict]:
+    """Subject name and per-angle file paths; ``index.json`` overrides both defaults."""
     index = directory / "index.json"
     if index.exists():
         with open(index) as fh:
             raw = json.load(fh)
+        subject = raw.pop("subject_id", directory.name)
+        if not isinstance(subject, str) or not subject:
+            raise ValueError(f"{index}: subject_id must be a non-empty string, got {subject!r}")
         mapping = raw.get("files", raw)
         files = {}
         for key, name in mapping.items():
@@ -96,20 +100,22 @@ def _angle_filenames(directory: Path) -> dict:
             if angle not in GRID_DEGREES:
                 raise ValueError(f"{index}: key {key!r} is not a grid azimuth in [-90, 90]")
             files[angle] = directory / name
-        return files
-    return {a: directory / f"azi_{a}_ele_0.wav" for a in GRID_DEGREES}
+        return subject, files
+    return directory.name, {a: directory / f"azi_{a}_ele_0.wav" for a in GRID_DEGREES}
 
 
-def load_hrir_database(directory, expected_rate: int = 44100, subject_id: str | None = None) -> HrirDatabase:
+def load_hrir_database(directory, expected_rate: int = 44100) -> HrirDatabase:
     """Load all 19 grid angles from ``directory``.
 
     Every file must be a stereo WAV at ``expected_rate``; a missing angle,
-    a mono file, or a rate mismatch is a hard error naming the angle.
+    a mono file, or a rate mismatch is a hard error naming the angle. The
+    subject is ``index.json``'s ``subject_id`` if given, else the
+    directory's name.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"HRIR directory not found: {directory}")
-    files = _angle_filenames(directory)
+    subject, files = _read_index(directory)
 
     entries = {}
     for angle in GRID_DEGREES:
@@ -125,7 +131,7 @@ def load_hrir_database(directory, expected_rate: int = 44100, subject_id: str | 
                 f"{path} is {buf.sample_rate} Hz, expected {expected_rate}"
             )
         entries[angle] = HrirPair(angle, buf.left, buf.right, buf.sample_rate)
-    return HrirDatabase(subject_id or directory.name, entries)
+    return HrirDatabase(subject, entries)
 
 
 def save_hrir_database(db: HrirDatabase, directory, encoding: str = "float32") -> None:

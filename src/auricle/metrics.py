@@ -16,7 +16,7 @@ Five quantities are computed between a reference stem and an estimated stem:
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -66,17 +66,9 @@ class MetricConfig:
     proj_max_delay: float = 1e-3
 
     def __post_init__(self):
-        for name in (
-            "itd_frame_len",
-            "tukey_alpha",
-            "silence_threshold",
-            "max_lag",
-            "ssr_window",
-            "ssr_hop",
-            "proj_max_delay",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for field in fields(self):
+            if getattr(self, field.name) <= 0:
+                raise ValueError(f"{field.name} must be positive, got {getattr(self, field.name)!r}")
         if self.ssr_hop > self.ssr_window:
             raise ValueError(
                 f"ssr_hop {self.ssr_hop!r} s exceeds ssr_window {self.ssr_window!r} s; "
@@ -95,6 +87,14 @@ class MetricConfig:
         if lags < 1:
             raise ValueError(f"max_lag {self.max_lag} s is under one sample at {sample_rate} Hz")
         return lags
+
+    def ssr_frame_samples(self, sample_rate: int) -> tuple[int, int]:
+        """SSR/SRR frame length and hop in samples."""
+        window, hop = (int(round(s * sample_rate)) for s in (self.ssr_window, self.ssr_hop))
+        for name, size in (("ssr_window", window), ("ssr_hop", hop)):
+            if size < 1:
+                raise ValueError(f"{name} {getattr(self, name)!r} s is under one sample at {sample_rate} Hz")
+        return window, hop
 
     def proj_delay_samples(self, sample_rate: int) -> int:
         return int(math.floor(self.proj_max_delay * sample_rate))
@@ -257,7 +257,7 @@ def align_pair(
     _check_comparable(reference, estimate)
     fs = reference.sample_rate
     diff = abs(reference.num_samples - estimate.num_samples)
-    if diff > int(round(cfg.ssr_window * fs)):
+    if diff > cfg.ssr_frame_samples(fs)[0]:
         raise ValueError(
             f"length mismatch of {diff} samples exceeds one {cfg.ssr_window} s frame; "
             "refusing to compare misaligned signals"
@@ -489,8 +489,7 @@ def ssr_srr(
     """
     reference, estimate = align_pair(reference, estimate, cfg)
     fs = reference.sample_rate
-    n = int(round(cfg.ssr_window * fs))
-    hop = int(round(cfg.ssr_hop * fs))
+    n, hop = cfg.ssr_frame_samples(fs)
     ref, est = reference.samples, estimate.samples
     starts = [
         start

@@ -4,7 +4,8 @@ Aggregation is median-of-per-track-values: each (track, stem) row contributes
 one value per metric (per-track SSR/SRR are already frame medians), undefined
 values are excluded with their count reported, and positive infinity sorts
 above every finite value. Angle binning partitions [-90, 90] into six
-30-degree bins and emits boxplot statistics as data.
+30-degree bins and emits boxplot statistics as data. Every cell, dataset
+median or bin quartile, comes from one five-number summary (``_box``).
 """
 
 import csv
@@ -21,7 +22,6 @@ from .metrics import MetricValue
 from .scene import STEM_NAMES
 
 __all__ = [
-    "CellStat",
     "BoxStat",
     "AngleBin",
     "MetricReport",
@@ -37,21 +37,16 @@ _BOX_KEYS = ("min", "q1", "median", "q3", "max")
 
 
 @dataclass
-class CellStat:
-    """Median of one metric over a group of rows."""
-
-    median: MetricValue
-    count: int
-    excluded: int
-
-
-@dataclass
 class BoxStat:
-    """Five-number summary of one metric within one angle bin."""
+    """Five-number summary of one metric over a group of rows."""
 
     stats: dict  # min/q1/median/q3/max -> MetricValue
     count: int
     excluded: int
+
+    @property
+    def median(self) -> MetricValue:
+        return self.stats["median"]
 
 
 @dataclass
@@ -63,41 +58,9 @@ class AngleBin:
 
 @dataclass
 class MetricReport:
-    by_instrument: dict  # stem -> metric -> CellStat
-    overall: dict  # metric -> CellStat
+    by_instrument: dict  # stem -> metric -> BoxStat
+    overall: dict  # metric -> BoxStat
     by_angle: list | None = None
-
-
-def _collect(values) -> tuple[list[float], int]:
-    floats = []
-    excluded = 0
-    for v in values:
-        x = v.as_float()
-        if math.isnan(x):
-            excluded += 1
-        else:
-            floats.append(x)
-    return floats, excluded
-
-
-def _median_cell(values) -> CellStat:
-    floats, excluded = _collect(values)
-    if not floats:
-        return CellStat(MetricValue.undefined(), 0, excluded)
-    return CellStat(MetricValue.from_float(float(np.median(floats))), len(floats), excluded)
-
-
-def aggregate_medians(rows) -> MetricReport:
-    """Per-instrument and pooled-overall medians for each metric."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to aggregate")
-    by_instrument = {}
-    for stem in STEM_NAMES:
-        stem_rows = [r for r in rows if r.stem == stem]
-        by_instrument[stem] = {m: _median_cell([r.metric(m) for r in stem_rows]) for m in METRIC_FIELDS}
-    overall = {m: _median_cell([r.metric(m) for r in rows]) for m in METRIC_FIELDS}
-    return MetricReport(by_instrument=by_instrument, overall=overall)
 
 
 def _bin_index(azimuth: int) -> int:
@@ -118,7 +81,8 @@ def _percentile(sorted_arr: np.ndarray, q: float) -> float:
 
 
 def _box(values) -> BoxStat:
-    floats, excluded = _collect(values)
+    floats = [x for x in (v.as_float() for v in values) if not math.isnan(x)]
+    excluded = len(values) - len(floats)
     if not floats:
         return BoxStat({k: MetricValue.undefined() for k in _BOX_KEYS}, 0, excluded)
     arr = np.sort(np.asarray(floats))
@@ -134,6 +98,24 @@ def _box(values) -> BoxStat:
         len(floats),
         excluded,
     )
+
+
+def _group(rows) -> tuple[dict, dict]:
+    """Box statistics of each metric per stem and pooled over all stems."""
+    per_stem = {
+        stem: {m: _box([r.metric(m) for r in rows if r.stem == stem]) for m in METRIC_FIELDS}
+        for stem in STEM_NAMES
+    }
+    pooled = {m: _box([r.metric(m) for r in rows]) for m in METRIC_FIELDS}
+    return per_stem, pooled
+
+
+def aggregate_medians(rows) -> MetricReport:
+    """Per-instrument and pooled-overall medians for each metric."""
+    rows = list(rows)
+    if not rows:
+        raise ValueError("no rows to aggregate")
+    return MetricReport(*_group(rows))
 
 
 def bin_by_angle(rows) -> list[AngleBin]:
@@ -152,12 +134,7 @@ def bin_by_angle(rows) -> list[AngleBin]:
         low, high = ANGLE_BIN_EDGES[i], ANGLE_BIN_EDGES[i + 1]
         members = [r for r in with_angle if _bin_index(r.azimuth_deg) == i]
         label = f"[{low},{high}{']' if i == 5 else ')'}"
-        per_stem = {
-            stem: {m: _box([r.metric(m) for r in members if r.stem == stem]) for m in METRIC_FIELDS}
-            for stem in STEM_NAMES
-        }
-        pooled = {m: _box([r.metric(m) for r in members]) for m in METRIC_FIELDS}
-        bins.append(AngleBin(label, per_stem, pooled))
+        bins.append(AngleBin(label, *_group(members)))
     return bins
 
 
@@ -175,27 +152,9 @@ def _format_value(value: MetricValue, excluded: int, full_precision: bool) -> st
     return text
 
 
-def _report_cells(report: MetricReport, metric: str, full_precision: bool) -> list[str]:
-    cells = []
-    for stem in GROUP_COLUMNS[:-1]:
-        cell = report.by_instrument[stem][metric]
-        cells.append(_format_value(cell.median, cell.excluded, full_precision))
-    cell = report.overall[metric]
-    cells.append(_format_value(cell.median, cell.excluded, full_precision))
-    return cells
-
-
-def _angle_rows(bins, full_precision: bool):
-    for b in bins:
-        for metric in METRIC_FIELDS:
-            for key in _BOX_KEYS:
-                cells = []
-                for stem in GROUP_COLUMNS[:-1]:
-                    box = b.per_stem[stem][metric]
-                    cells.append(_format_value(box.stats[key], box.excluded, full_precision))
-                pooled = b.pooled[metric]
-                cells.append(_format_value(pooled.stats[key], pooled.excluded, full_precision))
-                yield b.label, f"{metric}.{key}", cells
+def _cells(per_stem: dict, pooled: dict, metric: str, key: str, full_precision: bool) -> list[str]:
+    boxes = [per_stem[stem][metric] for stem in GROUP_COLUMNS[:-1]] + [pooled[metric]]
+    return [_format_value(box.stats[key], box.excluded, full_precision) for box in boxes]
 
 
 def write_report(
@@ -229,10 +188,13 @@ def _render_csv(report: MetricReport, full_precision: bool) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["group", "metric"] + list(GROUP_COLUMNS))
     for metric in METRIC_FIELDS:
-        writer.writerow(["all", metric] + _report_cells(report, metric, full_precision))
-    if report.by_angle is not None:
-        for label, metric, cells in _angle_rows(report.by_angle, full_precision):
-            writer.writerow([label, metric] + cells)
+        cells = _cells(report.by_instrument, report.overall, metric, "median", full_precision)
+        writer.writerow(["all", metric] + cells)
+    for b in report.by_angle or ():
+        for metric in METRIC_FIELDS:
+            for key in _BOX_KEYS:
+                cells = _cells(b.per_stem, b.pooled, metric, key, full_precision)
+                writer.writerow([b.label, f"{metric}.{key}"] + cells)
     return out.getvalue()
 
 
@@ -246,7 +208,7 @@ def _render_markdown(report: MetricReport, full_precision: bool) -> str:
         "| --- | --- | --- | --- | --- | --- |",
     ]
     for metric in METRIC_FIELDS:
-        cells = _report_cells(report, metric, full_precision)
+        cells = _cells(report.by_instrument, report.overall, metric, "median", full_precision)
         lines.append("| " + " | ".join([metric] + cells) + " |")
     if report.by_angle is not None:
         lines += ["", "## By azimuth bin (median across stems)", ""]
@@ -254,7 +216,7 @@ def _render_markdown(report: MetricReport, full_precision: bool) -> str:
         lines.append("| --- | --- | --- | --- | --- |")
         for b in report.by_angle:
             cells = [
-                _format_value(b.pooled[m].stats["median"], b.pooled[m].excluded, full_precision)
+                _format_value(b.pooled[m].median, b.pooled[m].excluded, full_precision)
                 for m in METRIC_FIELDS
             ]
             lines.append("| " + " | ".join([b.label] + cells) + " |")

@@ -1,9 +1,10 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from auricle import save_hrir_database, spherical_head_database
+from auricle import MetricConfig, save_hrir_database, spherical_head_database
 from auricle.cli import run_cli
 
 from helpers import make_song_dir
@@ -134,3 +135,32 @@ def test_markdown_report(workspace, tmp_path):
         ]
     ) == 0
     assert "| Metric | Bass |" in (tmp_path / "r.md").read_text()
+
+
+def test_evaluate_flags_reach_their_config_fields(tmp_path, monkeypatch):
+    # every flag set away from its default must land in its own MetricConfig field
+    seen = []
+    monkeypatch.setattr("auricle.cli.evaluate_tree", lambda ref, est, cfg, jobs: seen.append(cfg) or [])
+    base = ["evaluate", "--reference", str(tmp_path), "--estimates", str(tmp_path), "--out", str(tmp_path / "m.csv")]
+    flags = [
+        "--itd-frame", "0.25",
+        "--itd-threshold", "0.002",
+        "--max-lag-ms", "0.5",
+        "--ssr-window", "0.75",
+        "--ssr-hop", "0.25",
+        "--proj-max-delay-ms", "0.625",
+        "--tukey-alpha", "0.125",
+    ]
+    assert run_cli(base) == 0
+    assert run_cli(base + flags) == 0
+    want = MetricConfig(
+        itd_frame_len=0.25,
+        silence_threshold=0.002,
+        max_lag=0.5 / 1000.0,
+        ssr_window=0.75,
+        ssr_hop=0.25,
+        proj_max_delay=0.625 / 1000.0,
+        tukey_alpha=0.125,
+    )
+    assert seen == [MetricConfig(), want]
+    assert all(getattr(want, f.name) != getattr(MetricConfig(), f.name) for f in fields(MetricConfig))

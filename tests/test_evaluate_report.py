@@ -235,6 +235,63 @@ def test_aggregate_medians_invariant_to_row_order(data, rows):
             assert repr(cell_a[m].median.as_float()) == repr(cell_b[m].median.as_float())
 
 
+# Finite values a metric can hold: normal floats within +-1e300, and +0.0 (no
+# metric writes -0.0). np.median averages the middle pair as (a + b) / 2, the
+# report as 0.5 * a + 0.5 * b; these round alike unless a + b overflows or a
+# half is subnormal, far outside any dB or microsecond value.
+db_values = st.one_of(
+    st.floats(-1e300, 1e300, allow_subnormal=False).map(lambda x: MetricValue.finite(x + 0.0)),
+    st.sampled_from([0.0, 1.5, NEG_DB_CLAMP]).map(MetricValue.finite),
+    st.just(MetricValue.infinite()),
+    st.just(MetricValue.undefined()),
+)
+
+
+def _db_rows(azimuths=st.integers(-90, 90)):
+    return st.builds(
+        MetricRow,
+        track_id=st.just("t"),
+        stem=st.sampled_from(STEM_NAMES),
+        azimuth_deg=azimuths,
+        **{f: db_values for f in METRIC_FIELDS},
+    )
+
+
+def _box_bits(box):
+    return [float.hex(v.as_float()) for v in box.stats.values()], box.count, box.excluded
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_db_rows(), min_size=1, max_size=16))
+def test_report_median_is_numpy_median_to_the_bit(rows):
+    report = aggregate_medians(rows)
+    groups = [(report.overall, rows)]
+    groups += [(report.by_instrument[s], [r for r in rows if r.stem == s]) for s in STEM_NAMES]
+    for cells, members in groups:
+        for m in METRIC_FIELDS:
+            values = [r.metric(m).as_float() for r in members]
+            defined = [x for x in values if not np.isnan(x)]
+            cell = cells[m]
+            assert (cell.count, cell.excluded) == (len(defined), len(values) - len(defined))
+            if defined:
+                assert float.hex(cell.median.as_float()) == float.hex(float(np.median(defined)))
+            else:
+                assert cell.median.is_undefined
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), index=st.integers(0, 5))
+def test_single_bin_boxes_equal_dataset_boxes(data, index):
+    low, high = ANGLE_BIN_EDGES[index], ANGLE_BIN_EDGES[index + 1]
+    azimuths = st.integers(low, high if index == 5 else high - 1)
+    rows = data.draw(st.lists(_db_rows(azimuths), min_size=1, max_size=16))
+    report, angle_bin = aggregate_medians(rows), bin_by_angle(rows)[index]
+    for m in METRIC_FIELDS:
+        assert _box_bits(angle_bin.pooled[m]) == _box_bits(report.overall[m])
+        for stem in STEM_NAMES:
+            assert _box_bits(angle_bin.per_stem[stem][m]) == _box_bits(report.by_instrument[stem][m])
+
+
 def test_bin_boundaries():
     assert _bin_index(-90) == 0  # [-90, -60)
     assert _bin_index(-60) == 1

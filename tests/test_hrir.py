@@ -82,7 +82,14 @@ def test_index_json_mapping(tmp_path, sphere_db):
     (d / "index.json").write_text(json.dumps({"subject_id": "D1", "files": mapping}))
     loaded = load_hrir_database(d)
     assert len(loaded) == 19
+    assert loaded.subject_id == "D1"
     assert np.allclose(loaded[-30].left, sphere_db[-30].left, atol=1e-7)
+    (d / "index.json").write_text(json.dumps({"files": mapping}))
+    assert load_hrir_database(d).subject_id == "db"  # no subject_id: the directory names the set
+    for bad in ("", 7, None):
+        (d / "index.json").write_text(json.dumps({"subject_id": bad, "files": mapping}))
+        with pytest.raises(ValueError, match=r"index\.json: subject_id must be a non-empty string"):
+            load_hrir_database(d)
 
 
 def test_index_json_off_grid_key_named(tmp_path, sphere_db):

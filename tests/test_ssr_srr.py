@@ -133,3 +133,18 @@ def test_config_rejects_hop_longer_than_window():
     # a hop past the window would leave audio between frames unscored
     with pytest.raises(ValueError, match=r"ssr_hop 0\.6 s exceeds ssr_window 0\.5"):
         MetricConfig(ssr_window=0.5, ssr_hop=0.6)
+
+
+@pytest.mark.parametrize(
+    "window, hop, message",
+    [
+        (1e-5, 1e-5, r"ssr_window 1e-05 s is under one sample at 44100 Hz"),
+        (3e-5, 1e-5, r"ssr_hop 1e-05 s is under one sample at 44100 Hz"),
+    ],
+)
+def test_frame_or_hop_under_one_sample_named(window, hop, message):
+    # a zero-sample frame or hop must name its field, not fail inside range()
+    ref = AudioBuffer(np.ones((2, 441)), FS)
+    cfg = MetricConfig(ssr_window=window, ssr_hop=hop)
+    with pytest.raises(ValueError, match=message):
+        ssr_srr(ref, ref, cfg)
