@@ -38,10 +38,11 @@ class Frame:
 
 
 class _Frames(Sequence):
-    """The frames of one signal, each cut, weighed and windowed when indexed."""
+    """The frames of one signal, each cut and windowed when indexed; ``weights`` are all taken up front."""
 
     def __init__(self, buffer: AudioBuffer, starts: range, win: np.ndarray):
         self._buffer, self._starts, self._win = buffer, starts, win
+        self.weights = [rms_weight(buffer.samples[:, start : start + len(win)]) for start in starts]
 
     def __len__(self) -> int:
         return len(self._starts)
@@ -51,10 +52,9 @@ class _Frames(Sequence):
             return _Frames(self._buffer, self._starts[index], self._win)
         start, n = self._starts[index], len(self._win)
         block = self._buffer.samples[:, start : start + n]
-        weight = rms_weight(block)
         if block.shape[1] < n:
             block = np.pad(block, ((0, 0), (0, n - block.shape[1])))
-        return Frame(block * self._win, weight, self._buffer.sample_rate)
+        return Frame(block * self._win, self.weights[index], self._buffer.sample_rate)
 
 
 def rms_weight(samples) -> float:
@@ -79,14 +79,14 @@ def frame_signal(
     hop: float,
     window: str = "tukey",
     tukey_alpha: float = 0.5,
-) -> Sequence[Frame]:
+) -> _Frames:
     """Cut ``buffer`` into frames of ``frame_len`` seconds every ``hop`` seconds.
 
     Frame t starts at sample t*hop*fs. The last frame is zero-padded to full
     length but its weight is computed from the real samples only; a signal
     shorter than one frame yields a single padded frame. Weights are taken
-    before windowing so the silence gate is not biased by edge taper. Each
-    frame is built when indexed, so only the frames in use are held.
+    before windowing so the silence gate is not biased by edge taper, and all
+    at once (``weights``); each frame is built when indexed.
     """
     fs = buffer.sample_rate
     n = int(round(frame_len * fs))

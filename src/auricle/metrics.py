@@ -18,6 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -196,20 +197,35 @@ def signal_itd_lag(buffer: AudioBuffer, cfg: MetricConfig = DEFAULT_CONFIG) -> i
     The signal is framed (Tukey window, no overlap), silent frames
     are dropped, and each remaining frame votes for its GCC-PHAT lag with its
     RMS weight. The winning lag is the weighted mode; ties go to the smaller
-    magnitude, then to the negative lag.
+    magnitude, then to the negative lag. Frames vote in time order, and the
+    vote stops once it is decided, when the leader is ahead of every other lag
+    by more than the weight still to vote; the lag is identical to the one
+    that voting every frame gives.
     """
     if buffer.num_channels != 2:
         raise ValueError("ITD needs a stereo signal")
     frames = frame_signal(buffer, cfg.itd_frame_len, cfg.itd_frame_len, "tukey", cfg.tukey_alpha)
+    live = [i for i, weight in enumerate(frames.weights) if weight >= cfg.silence_threshold]
+    # rest[k] is the weight of live frames k onwards. The stop survives rounding
+    # (eps = 2**-53; m live frames of total weight W; q frames left, of exact
+    # weight R). Adding a positive weight never lowers a float sum, so the
+    # leader keeps at least its votes. The frames left raise any other lag by
+    # at most R + 1.01 q eps W, and rest and the comparison round by at most
+    # 1.01 (q + 1) eps W; the slack, 4 m eps W with m > q, covers both. So a
+    # stop means the leader strictly wins the full vote: an exact tie never
+    # stops early, and the tie rule decides as before.
+    rest = [*accumulate((frames.weights[i] for i in reversed(live)), initial=0.0)][::-1]
+    slack = 4 * len(live) * rest[0] * 2.0**-53
     votes: dict[int, float] = {}
-    for frame in frames:
-        if frame.weight < cfg.silence_threshold:
-            continue
+    for k, i in enumerate(live):
+        frame = frames[i]
         lag = gcc_phat_tdoa(frame, cfg)
         votes[lag] = votes.get(lag, 0.0) + frame.weight
-    if not votes:
-        return None
-    return max(votes.items(), key=lambda kv: (kv[1], -abs(kv[0]), -kv[0]))[0]
+        leader = max(votes, key=votes.get)
+        runner_up = max((v for other, v in votes.items() if other != leader), default=0.0)
+        if votes[leader] > runner_up + rest[k + 1] + slack:
+            return leader
+    return max(votes, key=lambda lag: (votes[lag], -abs(lag), -lag), default=None)
 
 
 def signal_itd(buffer: AudioBuffer, cfg: MetricConfig = DEFAULT_CONFIG) -> MetricValue:
@@ -280,8 +296,8 @@ def delta_itd(
     """
     _check_comparable(reference, estimate)
     lag_ref = signal_itd_lag(reference, cfg)
-    lag_est = signal_itd_lag(estimate, cfg)
-    if lag_ref is None or lag_est is None:
+    lag_est = None if lag_ref is None else signal_itd_lag(estimate, cfg)
+    if lag_est is None:
         return MetricValue.undefined()
     return MetricValue.finite(abs(lag_ref - lag_est) * 1e6 / reference.sample_rate)
 

@@ -2,20 +2,22 @@
 
 Signals are noise with a per-channel gain, an interaural delay and a silent
 span, at several ITD frame lengths, so frames are gated, partial at the end
-or carry a silent channel.
+or carry a silent channel. The ITD vote, which stops once it is decided, is
+checked against the full-vote oracle in oracle_metrics.py on signals whose
+frames each carry their own lag and gain.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import oracle_metrics as oracle
 from auricle import (
     AudioBuffer,
     MetricConfig,
     delta_ild,
     delta_itd,
     frame_signal,
-    gcc_phat_tdoa,
     signal_ild,
     signal_itd_lag,
     ssr_srr,
@@ -99,11 +101,7 @@ def _swap(buf):
 
 def _top_vote_is_a_plus_minus_tie(buf, cfg):
     """The heaviest ITD vote is shared by a lag and its negation; the tie rule picks the negative one."""
-    votes = {}
-    for frame in frame_signal(buf, cfg.itd_frame_len, cfg.itd_frame_len, "tukey", cfg.tukey_alpha):
-        if frame.weight >= cfg.silence_threshold:
-            lag = gcc_phat_tdoa(frame, cfg)
-            votes[lag] = votes.get(lag, 0.0) + frame.weight
+    votes = oracle.itd_votes(buf, cfg)
     top = max(votes.values(), default=None)
     return any(lag and votes.get(-lag) == top for lag, weight in votes.items() if weight == top)
 
@@ -138,3 +136,44 @@ def test_channel_swap_negates_cues_and_keeps_ratios(ref, data, cfg):
         assert mirror.is_finite and (mirror.value == -200.0 or mirror.value < -3082.0)
     else:
         assert abs(swapped.value + ild.value) <= 1e-12
+
+
+def _voting_signal(seed, frame_len, plan, tail, shared):
+    """ITD frames of noise, each with its own (lag, gain); the last is cut to ``tail`` samples.
+
+    A negative lag is the positive one with the channels swapped, so with
+    ``shared`` noise a frame and its mirror weigh exactly the same and their
+    votes can tie exactly. A small gain puts a frame under the gate.
+    """
+    n = round(frame_len * FS)
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=n) * 0.1
+    rows = []
+    for lag, gain in plan:
+        x = block if shared else rng.normal(size=n) * 0.1
+        pair = gain * np.stack([x, shift_zero_fill(x, abs(lag))])
+        rows.append(pair if lag >= 0 else pair[::-1])
+    data = np.concatenate(rows, axis=1)[:, : (len(plan) - 1) * n + min(tail, n)]
+    return AudioBuffer(data, FS), MetricConfig(itd_frame_len=frame_len)
+
+
+voting_signals = st.builds(
+    _voting_signal,
+    seed=st.integers(0, 2**32 - 1),
+    frame_len=st.sampled_from([0.02, 0.1]),
+    plan=st.lists(
+        st.tuples(st.sampled_from([-9, -4, 0, 4, 9]), st.sampled_from([0.0, 1e-3, 0.5, 1.0])),
+        min_size=1,
+        max_size=12,
+    ),
+    tail=st.integers(1, 4410),
+    shared=st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=voting_signals)
+def test_itd_vote_that_stops_once_decided_picks_the_full_vote_winner(case):
+    """Split votes, gated and partial frames, and exact +-lag ties: stopping never changes the lag."""
+    buf, cfg = case
+    assert signal_itd_lag(buf, cfg) == oracle.itd_winner(oracle.itd_votes(buf, cfg))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle_metrics as oracle
 from auricle import (
     AudioBuffer,
     MetricConfig,
@@ -8,6 +9,7 @@ from auricle import (
     delta_itd,
     frame_signal,
     gcc_phat_tdoa,
+    metrics,
     signal_ild,
     signal_itd,
     signal_itd_lag,
@@ -99,6 +101,36 @@ def test_itd_weighted_mode_prefers_heavier_frames(rng):
     assert signal_itd_lag(buf) == 3
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(metrics, name)
+    monkeypatch.setattr(metrics, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_itd_vote_stops_once_decided(rng, monkeypatch):
+    # 20 frames of equal weight all vote 21; after 11 votes the 9 left cannot catch up
+    x = rng.normal(size=10 * FS) * 0.1
+    buf = AudioBuffer(np.stack([x, shift_zero_fill(x, 21)]), FS)
+    calls = _count_calls(monkeypatch, "gcc_phat_tdoa")
+    assert signal_itd_lag(buf) == 21
+    assert len(calls) <= 11
+
+
+def test_itd_vote_with_margin_equal_to_weight_left_votes_every_frame(rng, monkeypatch):
+    # Four frames of one weight w vote 9, 9, -9, -9. After two and after three
+    # votes the leader's margin (2w, then w) equals the weight still to vote
+    # exactly, so no frame is skipped and the tie rule picks the negative lag.
+    x = rng.normal(size=FS // 2) * 0.1
+    plus = np.stack([x, shift_zero_fill(x, 9)])
+    buf = AudioBuffer(np.concatenate([plus, plus, plus[::-1], plus[::-1]], axis=1), FS)
+    w = max(np.sqrt(np.mean(plus**2, axis=1)))
+    assert oracle.itd_votes(buf, CFG) == {9: 2 * w, -9: 2 * w}
+    calls = _count_calls(monkeypatch, "gcc_phat_tdoa")
+    assert signal_itd_lag(buf) == -9
+    assert len(calls) == 4
+
+
 def test_ild_examples(rng):
     x = rng.normal(size=FS) * 0.2
     equal = AudioBuffer(np.stack([x, x]), FS)
@@ -168,6 +200,12 @@ def test_delta_itd_symmetry_and_undefined(rng):
     assert delta_itd(a, b).value == delta_itd(b, a).value
     silent = AudioBuffer(np.zeros((2, FS)), FS)
     assert delta_itd(a, silent).is_undefined
+
+
+def test_delta_itd_skips_the_estimate_when_the_reference_is_silent(rng, monkeypatch):
+    calls = _count_calls(monkeypatch, "signal_itd_lag")
+    assert delta_itd(AudioBuffer(np.zeros((2, FS)), FS), noise_buffer(rng)).is_undefined
+    assert len(calls) == 1
 
 
 def test_delta_itd_rate_mismatch():
