@@ -85,10 +85,10 @@ def read_wav(path) -> AudioBuffer:
     scale = {np.int16: 2**15, np.int32: 2**31, np.float32: 1, np.float64: 1}.get(data.dtype.type)
     if scale is None:
         raise ValueError(f"unsupported WAV sample format {data.dtype} in {path}")
-    # One pass converts and transposes, so every channel row is contiguous.
-    samples = np.atleast_2d(data.T).astype(np.float64, order="C")
-    if scale != 1:
-        samples /= scale
+    # One pass converts, scales and transposes, so every channel row is
+    # contiguous. The scales are powers of two: times 1 / scale is exact.
+    rows = np.atleast_2d(data.T)
+    samples = np.multiply(rows, 1 / scale, out=np.empty(rows.shape))
     if samples.shape[1] == 0:
         raise ValueError(f"zero-length audio in {path}")
     return AudioBuffer(samples, int(rate))

@@ -11,8 +11,8 @@ from .audio import AudioBuffer
 
 __all__ = ["Frame", "frame_signal", "fft_convolve", "rms_weight"]
 
-# FFT samples in one pass of fft_convolve (1 MiB of float64)
-_PASS_SAMPLES = 1 << 17
+# FFT samples in one pass of fft_convolve (512 KiB of float64; two ears run at once)
+_PASS_SAMPLES = 1 << 16
 
 
 @dataclass
@@ -99,13 +99,14 @@ def frame_signal(
     return _Frames(buffer, range(0, buffer.num_samples, h), _make_window(window, n, tukey_alpha))
 
 
-def fft_convolve(signal, kernel) -> np.ndarray:
+def fft_convolve(signal, kernel, out=None) -> np.ndarray:
     """Linear convolution of two 1-D sequences by overlap-add FFT blocks.
 
     Output length is len(signal) + len(kernel) - 1, matching direct
     time-domain convolution to within float64 rounding. Blocks are
     transformed a few at a time, so besides the output only a fixed,
-    frame-sized set of temporaries is alive.
+    frame-sized set of temporaries is alive. ``out``, a writable 1-D float64
+    array of the output length apart from the inputs, is overwritten if given.
     """
     x = np.asarray(signal, dtype=np.float64)
     k = np.asarray(kernel, dtype=np.float64)
@@ -115,6 +116,13 @@ def fft_convolve(signal, kernel) -> np.ndarray:
         raise ValueError("fft_convolve inputs must be non-empty")
     n, taps = x.size, k.size
     size = n + taps - 1
+    if out is None:
+        out = np.empty(size)
+    elif not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != (size,):
+        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise ValueError(f"out must be a float64 array of shape ({size},), got {got}")
+    elif not out.flags.writeable or np.may_share_memory(out, x) or np.may_share_memory(out, k):
+        raise ValueError("out must be writable and share no memory with signal or kernel")
     # One block when the output fits in max(8 kernel lengths, 1024) samples,
     # else blocks of that size. A block is at least twice the kernel, so its
     # tail (taps - 1 samples) overlaps only the next block.
@@ -122,7 +130,6 @@ def fft_convolve(signal, kernel) -> np.ndarray:
     step = nfft - taps + 1  # signal samples per block
     per_pass = max(1, _PASS_SAMPLES // nfft) * step
     spectrum = rfft(k, nfft)
-    out = np.zeros(size)
     for first in range(0, n, per_pass):
         chunk = x[first : first + per_pass]
         count = -(-chunk.size // step)
@@ -134,5 +141,9 @@ def fft_convolve(signal, kernel) -> np.ndarray:
         acc[: count * step] = y[:, :step].reshape(-1)
         acc[step:].reshape(count, step)[:, : taps - 1] += y[:, step:]
         span = min(acc.size, size - first)
-        out[first : first + span] += acc[:span]
+        # The last pass wrote its last block's tail over this pass's first
+        # taps - 1 samples. + 0.0 maps -0.0 to 0.0, as adding into zeros did.
+        held = 0 if first == 0 else taps - 1
+        out[first : first + held] += acc[:held]
+        np.add(acc[held:span], 0.0, out=out[first + held : first + span])
     return out

@@ -9,6 +9,7 @@ same gain is applied to the stems so mixture == sum(stems) holds on disk.
 import hashlib
 import json
 import random
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,16 +132,25 @@ def downmix_mono(stereo: AudioBuffer) -> AudioBuffer:
 
 
 def binauralize(mono: AudioBuffer, pair: HrirPair) -> AudioBuffer:
-    """Render a mono signal at the HRIR's direction; output is N + L - 1 long."""
+    """Render a mono signal at the HRIR's direction; output is N + L - 1 long.
+
+    The ears are convolved at once, the right on a worker thread (FFTs release
+    the GIL), each into its own row: the bits of two calls in turn.
+    """
     if mono.num_channels != 1:
         raise ValueError("binauralize expects a mono buffer")
     if mono.sample_rate != pair.sample_rate:
         raise ValueError(
             f"sample-rate mismatch: signal {mono.sample_rate} Hz vs HRIR {pair.sample_rate} Hz"
         )
-    left = fft_convolve(mono.samples[0], pair.left)
-    right = fft_convolve(mono.samples[0], pair.right)
-    return AudioBuffer(np.stack([left, right]), mono.sample_rate)
+    x = mono.samples[0]
+    out = np.empty((2, x.size + pair.length - 1))
+    # A pool per call: a long-lived worker thread would not survive a fork.
+    with ThreadPoolExecutor(max_workers=1) as ear:
+        right = ear.submit(fft_convolve, x, pair.right, out[1])
+        fft_convolve(x, pair.left, out[0])
+        right.result()
+    return AudioBuffer(out, mono.sample_rate)
 
 
 def mix_and_normalize(stems) -> tuple[AudioBuffer, float, list[AudioBuffer]]:

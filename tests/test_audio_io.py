@@ -121,6 +121,27 @@ def test_read_rows_contiguous_and_exact(tmp_path, rng, encoding):
     assert [float.hex(v) for v in buf.samples.ravel()] == [float.hex(v) for v in expected.ravel()]
 
 
+@pytest.mark.parametrize(
+    "dtype, scale",
+    [(np.int16, 2**15), (np.int32, 2**31), (np.float32, None)],
+)
+def test_read_scales_codes_exactly(tmp_path, rng, dtype, scale):
+    """Integer codes, extremes included, read as code / 2^(bits-1); float32 passes through unchanged."""
+    if scale is None:
+        tiny = np.finfo(np.float32).smallest_subnormal
+        edges = np.array([0.0, -0.0, tiny, -tiny, 1.0, -1.0, np.finfo(np.float32).max], dtype=np.float32)
+        noise = rng.normal(size=994).astype(np.float32)
+    else:
+        info = np.iinfo(dtype)
+        edges = np.array([0, 1, -1, info.min, info.max, info.min + 1, info.max - 1], dtype=dtype)
+        noise = rng.integers(info.min, info.max, size=994, endpoint=True, dtype=dtype)
+    data = np.stack([np.concatenate([edges, noise]), np.concatenate([noise, edges])], axis=1)
+    wavfile.write(str(tmp_path / "x.wav"), 44100, data)
+    buf = read_wav(tmp_path / "x.wav")
+    expected = data.T.astype(np.float64) / (scale or 1)
+    assert [float.hex(v) for v in buf.samples.ravel()] == [float.hex(v) for v in expected.ravel()]
+
+
 def test_read_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_wav(tmp_path / "missing.wav")

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import windows
 
+import auricle.dsp
 from auricle import AudioBuffer, fft_convolve, frame_signal, rms_weight
 
 from helpers import direct_convolve
@@ -80,6 +81,48 @@ def test_convolve_rejects_empty():
         fft_convolve([], [1.0])
     with pytest.raises(ValueError):
         fft_convolve([1.0], [])
+
+
+def test_convolve_out_rejects_wrong_arrays():
+    x, k = np.ones(10), np.ones(3)
+    read_only = np.zeros(12)
+    read_only.flags.writeable = False
+    for out, named in [
+        ([0.0] * 12, "list"),
+        (np.zeros(12, dtype=np.float32), r"float32 \(12,\)"),
+        (np.zeros((1, 12)), r"float64 \(1, 12\)"),
+        (np.zeros(11), r"float64 \(11,\)"),
+    ]:
+        with pytest.raises(ValueError, match=r"shape \(12,\), got " + named):
+            fft_convolve(x, k, out=out)
+    with pytest.raises(ValueError, match="writable"):
+        fft_convolve(x, k, out=read_only)
+    shared = np.ones(20)
+    with pytest.raises(ValueError, match="share no memory"):
+        fft_convolve(shared[8:18], k, out=shared[:12])
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (500, 32), (200_003, 1024)])
+def test_convolve_overwrites_out(rng, n, m):
+    x, k = rng.normal(size=n), rng.normal(size=m)
+    out = np.full(n + m - 1, np.nan)
+    assert fft_convolve(x, k, out=out) is out
+    assert np.array_equal(out, fft_convolve(x, k))
+
+
+@pytest.mark.parametrize("m", [1, 128, 1024])
+def test_convolve_bits_do_not_depend_on_pass_size(rng, monkeypatch, m):
+    # Long enough for several passes at the default size; a zero stretch
+    # across pass joins checks that no -0.0 reaches the output either way.
+    x = rng.normal(size=200_003)
+    x[60_000:140_000] = 0.0
+    k = rng.normal(size=m)
+    want = fft_convolve(x, k)
+    assert not np.any(np.signbit(want[want == 0.0]))
+    for pass_samples in (1, 2048, 12_345, 1 << 18):
+        monkeypatch.setattr(auricle.dsp, "_PASS_SAMPLES", pass_samples)
+        got = fft_convolve(x, k)
+        assert got.tobytes() == want.tobytes(), pass_samples
 
 
 def test_frame_count_no_overlap(rng):

@@ -1,14 +1,17 @@
 import hashlib
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
+import auricle.scene
 from auricle import (
     STEM_NAMES,
     AudioBuffer,
     binauralize,
     downmix_mono,
+    fft_convolve,
     mix_and_normalize,
     read_manifest,
     read_wav,
@@ -64,6 +67,47 @@ def test_binauralize_equals_per_ear_direct_convolution(rng, ir_length):
         out = binauralize(AudioBuffer(x, 44100), pair)
         assert np.max(np.abs(out.left - np.convolve(x, pair.left))) <= 1e-12
         assert np.max(np.abs(out.right - np.convolve(x, pair.right))) <= 1e-12
+
+
+@pytest.mark.parametrize("taps", [1, 128, 1024])
+def test_binauralize_equals_two_convolutions_in_turn(rng, taps):
+    # 200_003 samples take four passes of FFT blocks at every tap count.
+    pair = HrirPair(30, rng.normal(size=taps), rng.normal(size=taps), 44100)
+    for n in (1, 5000, 200_003):
+        x = rng.normal(size=n)
+        out = binauralize(AudioBuffer(x, 44100), pair)
+        assert np.array_equal(out.samples, np.stack([fft_convolve(x, pair.left), fft_convolve(x, pair.right)]))
+
+
+def test_binauralize_right_ear_failure_propagates(rng, monkeypatch):
+    pair = HrirPair(0, rng.normal(size=64), rng.normal(size=64), 44100)
+
+    def convolve(signal, kernel, out=None):
+        if kernel is pair.right:
+            raise RuntimeError("right ear failed")
+        return fft_convolve(signal, kernel, out)
+
+    monkeypatch.setattr(auricle.scene, "fft_convolve", convolve)
+    with pytest.raises(RuntimeError, match="right ear failed"):
+        binauralize(AudioBuffer(rng.normal(size=1000), 44100), pair)
+
+
+def _render_and_exit(mono, pair, want):
+    raise SystemExit(0 if np.array_equal(binauralize(mono, pair).samples, want) else 1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_binauralize_in_forked_child_after_parent(rng, sphere_db):
+    mono = AudioBuffer(rng.normal(size=50_000), 44100)
+    want = binauralize(mono, sphere_db[40]).samples
+    child = multiprocessing.get_context("fork").Process(target=_render_and_exit, args=(mono, sphere_db[40], want))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("binauralize hung in a forked child")
+    assert child.exitcode == 0
 
 
 def test_binauralize_rate_mismatch(sphere_db):

@@ -1,6 +1,7 @@
 """Synthesis holds signal-sized buffers only while they are in use.
 
-Convolution holds its output and a fixed number of FFT blocks, and the
+Convolution holds its output and a fixed number of FFT blocks, a binaural
+render holds its two-row output and the blocks of both ears, and the
 command-line program hands freed signal-sized buffers back to the system,
 so its peak memory is what is alive, not what the heap happened to keep.
 """
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import auricle
-from auricle import fft_convolve
+from auricle import AudioBuffer, HrirPair, binauralize, fft_convolve
 
 
 def test_convolution_holds_its_output_and_fixed_blocks():
@@ -32,6 +33,23 @@ def test_convolution_holds_its_output_and_fixed_blocks():
         tracemalloc.stop()
     extra = peak - out.nbytes
     assert extra < 0.5 * x.nbytes, f"{extra / 1e6:.2f} MB besides a {out.nbytes / 1e6:.1f} MB output"
+
+
+def test_binaural_render_holds_its_output_and_fixed_blocks():
+    # Both ears in flight together stay within what one ear may hold, and
+    # the ears are written in place, not stacked from copies.
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=60 * 44100)
+    pair = HrirPair(0, rng.normal(size=1024), rng.normal(size=1024), 44100)
+    mono = AudioBuffer(x, 44100)
+    tracemalloc.start()
+    try:
+        out = binauralize(mono, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = peak - out.samples.nbytes
+    assert extra < 0.5 * x.nbytes, f"{extra / 1e6:.2f} MB besides a {out.samples.nbytes / 1e6:.1f} MB output"
 
 
 RELEASE_CHILD = """
