@@ -1,11 +1,11 @@
 """Framing, windowing, FFT convolution and RMS energy primitives."""
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import windows
 
 from .audio import AudioBuffer
 
@@ -65,9 +65,23 @@ def rms_weight(samples) -> float:
     return float(np.max(np.sqrt(np.mean(arr**2, axis=1))))
 
 
+def _tukey(length: int, alpha: float) -> np.ndarray:
+    """``scipy.signal.windows.tukey(length, alpha, sym=False)`` for 0 < alpha <= 1, by scipy's operations.
+
+    That is scipy's symmetric window of length + 1 samples less the last, which the taper branch never computes.
+    """
+    if alpha == 1:  # scipy's Hann window
+        return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, length + 1)))[:-1]
+    n = np.arange(length, dtype=np.float64)
+    width = int(math.floor(alpha * length / 2.0))
+    head = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * n[: width + 1] / alpha / length)))
+    tail = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * n[length - width :] / alpha / length)))
+    return np.concatenate((head, np.ones(length - 2 * width - 1), tail))
+
+
 def _make_window(name: str, length: int, tukey_alpha: float) -> np.ndarray:
     if name == "tukey":
-        return windows.tukey(length, alpha=tukey_alpha, sym=False)
+        return _tukey(length, tukey_alpha)
     if name == "rectangular":
         return np.ones(length)
     raise ValueError(f"unknown window {name!r}; use 'tukey' or 'rectangular'")
@@ -86,7 +100,8 @@ def frame_signal(
     length but its weight is computed from the real samples only; a signal
     shorter than one frame yields a single padded frame. Weights are taken
     before windowing so the silence gate is not biased by edge taper, and all
-    at once (``weights``); each frame is built when indexed.
+    at once (``weights``); each frame is built when indexed. ``tukey_alpha``, the
+    tapered fraction of a Tukey frame, lies in (0, 1]; 1 gives a Hann window.
     """
     fs = buffer.sample_rate
     n = int(round(frame_len * fs))
@@ -95,6 +110,8 @@ def frame_signal(
         raise ValueError(f"frame of {frame_len} s is under 2 samples at {fs} Hz")
     if h < 1:
         raise ValueError(f"hop of {hop} s is under 1 sample at {fs} Hz")
+    if not 0 < tukey_alpha <= 1:
+        raise ValueError(f"tukey_alpha must lie in (0, 1], got {tukey_alpha!r}")
 
     return _Frames(buffer, range(0, buffer.num_samples, h), _make_window(window, n, tukey_alpha))
 

@@ -68,8 +68,9 @@ class MetricConfig:
 
     def __post_init__(self):
         for field in fields(self):
-            if getattr(self, field.name) <= 0:
-                raise ValueError(f"{field.name} must be positive, got {getattr(self, field.name)!r}")
+            value = getattr(self, field.name)
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{field.name} must be positive and finite, got {value!r}")
         if self.ssr_hop > self.ssr_window:
             raise ValueError(
                 f"ssr_hop {self.ssr_hop!r} s exceeds ssr_window {self.ssr_window!r} s; "

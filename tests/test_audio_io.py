@@ -155,6 +155,20 @@ def test_read_errors(tmp_path):
         read_wav(tmp_path / "empty.wav")
 
 
+@pytest.mark.parametrize("channels", [1, 2])
+def test_float32_write_equals_casting_the_transpose(tmp_path, rng, channels):
+    """The written samples are the bytes of ``samples.T.astype(np.float32, order="C")``."""
+    big = float(np.finfo(np.float32).max)
+    tiny = float(np.finfo(np.float32).smallest_subnormal)
+    edges = [0.0, -0.0, tiny, -tiny, 0.6 * tiny, 3e-39, 0.1, 1 / 3, -2 / 3, 1 + 2**-24, 1 + 3 * 2**-25, big, -big]
+    data = np.stack([np.concatenate([edges, rng.normal(size=987)])[::k] for k in (1, -1)][:channels])
+    buf = AudioBuffer(data, 44100)
+    write_wav(tmp_path / "x.wav", buf, encoding="float32")
+    _, back = wavfile.read(str(tmp_path / "x.wav"))
+    want = buf.samples.T.astype(np.float32, order="C")
+    assert back.tobytes() == (want[:, 0] if channels == 1 else want).tobytes()
+
+
 def test_write_unknown_encoding(tmp_path):
     buf = AudioBuffer(np.zeros(8), 44100)
     with pytest.raises(ValueError):

@@ -124,6 +124,14 @@ def test_error_paths_exit_nonzero(workspace, tmp_path, capsys):
     assert code == 1
 
 
+def test_evaluate_rejects_a_nan_setting(tmp_path, capsys):
+    # a NaN threshold would otherwise write empty SSR, SRR and ΔITD cells with no error
+    argv = ["evaluate", "--reference", str(tmp_path), "--estimates", str(tmp_path), "--out", str(tmp_path / "m.csv")]
+    assert run_cli(argv + ["--itd-threshold", "nan"]) == 1
+    assert "error: silence_threshold must be positive and finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_markdown_report(workspace, tmp_path):
     root = workspace
     assert run_cli(

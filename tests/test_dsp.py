@@ -189,6 +189,41 @@ def test_tukey_window_applied():
     assert frame.weight == pytest.approx(1.0)
 
 
+_WINDOW_LENGTHS = [*range(2, 71), 1000, 1001, 4410, 22050, 22051, 44100, 88200]
+_TAPERS = [1e-9, 1e-3, 0.1, 0.25, 1 / 3, 0.5, 0.7, 0.999, 1 - 1e-7, 1.0]
+
+
+def _tukey_of_frame_signal(n, alpha):
+    """The window frame_signal applies to an n-sample frame: the frame of a signal of ones."""
+    return frame_signal(AudioBuffer(np.ones(n), n), 1.0, 1.0, tukey_alpha=alpha)[0].samples[0]
+
+
+@pytest.mark.parametrize("alpha", _TAPERS)
+def test_tukey_window_equals_scipy_bytes_on_grid(alpha):
+    for n in _WINDOW_LENGTHS:
+        want = windows.tukey(n, alpha, sym=False)
+        assert _tukey_of_frame_signal(n, alpha).tobytes() == want.tobytes(), (n, alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 100_000),
+    alpha=st.floats(0, 1, exclude_min=True) | st.just(1.0),
+)
+def test_tukey_window_equals_scipy_bytes_property(n, alpha):
+    with np.errstate(over="ignore", invalid="ignore"):  # scipy's dropped last sample overflows at tiny alpha
+        want = windows.tukey(n, alpha, sym=False)
+    assert _tukey_of_frame_signal(n, alpha).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, float("nan")])
+def test_frame_signal_rejects_taper_outside_unit_interval(alpha):
+    # scipy would silently give a rectangular window at alpha <= 0 and a Hann window above 1
+    buf = AudioBuffer(np.ones((2, 1000)), 1000)
+    with pytest.raises(ValueError, match=rf"tukey_alpha must lie in \(0, 1\], got {alpha!r}"):
+        frame_signal(buf, 0.5, 0.5, tukey_alpha=alpha)
+
+
 def test_rms_weight_values(rng):
     assert rms_weight(np.zeros((2, 100))) == 0.0
     block = np.stack([np.full(64, 0.8), np.full(64, 0.2)])

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,18 @@ def test_config_rejects_tukey_alpha_above_one():
     # scipy would silently turn alpha > 1 into a Hann window
     with pytest.raises(ValueError, match=r"tukey_alpha must be at most 1, got 1\.5"):
         MetricConfig(tukey_alpha=1.5)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", [f.name for f in fields(MetricConfig)])
+def test_config_rejects_non_finite_settings(name, value):
+    # a NaN or infinite silence threshold would leave every SSR, SRR and ΔITD undefined with no error
+    with pytest.raises(ValueError, match=rf"{name} must be positive and finite, got {value!r}"):
+        MetricConfig(**{name: value})
+
+
+def test_config_accepts_a_full_hann_taper():
+    assert MetricConfig(tukey_alpha=1.0).tukey_alpha == 1.0
 
 
 def test_config_rejects_itd_frame_shorter_than_two_lags():

@@ -1,12 +1,15 @@
 """Every public name resolves: each layer's ``__all__`` and the package imports.
 
 The benchmark tracer wraps each name in the ``__all__`` of the layers listed
-in ``bench/tracing.py``, so a stale entry there breaks every traced run.
+in ``bench/tracing.py``, so a stale entry there breaks every traced run. The
+program imports only the parts of scipy it uses.
 """
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,13 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), f"auricle.{node.module}.{alias.name}"
             assert getattr(auricle, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def test_cli_import_loads_neither_scipy_signal_nor_stats():
+    # scipy.signal pulls in scipy.stats, scipy.interpolate and about 400 more modules at start-up
+    src = str(Path(auricle.__file__).resolve().parents[1])
+    child = "import sys; sys.path.insert(0, sys.argv[1]); import auricle.cli; print(*sys.modules, sep='\\n')"
+    out = subprocess.run([sys.executable, "-c", child, src], capture_output=True, text=True, check=True)
+    loaded = out.stdout.split()
+    assert "auricle.cli" in loaded
+    assert [m for m in loaded if m.split(".")[:2] in (["scipy", "signal"], ["scipy", "stats"])] == []
