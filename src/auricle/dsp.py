@@ -38,23 +38,42 @@ class Frame:
 
 
 class _Frames(Sequence):
-    """The frames of one signal, each cut and windowed when indexed; ``weights`` are all taken up front."""
+    """The frames ``[start, start + n)`` of one signal: the frame grid and silence gate of every metric framing.
 
-    def __init__(self, buffer: AudioBuffer, starts: range, win: np.ndarray):
-        self._buffer, self._starts, self._win = buffer, starts, win
-        self.weights = [rms_weight(buffer.samples[:, start : start + len(win)]) for start in starts]
+    A frame is cut, zero-filled past the signal's end and windowed when indexed. ``weights``, all taken up
+    front from the real samples, feed the gate: ``live(threshold)`` gives the indices of the frames that pass.
+    """
+
+    def __init__(self, buffer: AudioBuffer, starts: range, n: int, win: np.ndarray | None = None):
+        self._buffer, self.starts, self._n, self._win = buffer, starts, n, win
+        self.weights = [rms_weight(buffer.samples[:, start : start + n]) for start in starts]
 
     def __len__(self) -> int:
-        return len(self._starts)
+        return len(self.starts)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return _Frames(self._buffer, self._starts[index], self._win)
-        start, n = self._starts[index], len(self._win)
-        block = self._buffer.samples[:, start : start + n]
-        if block.shape[1] < n:
-            block = np.pad(block, ((0, 0), (0, n - block.shape[1])))
-        return Frame(block * self._win, self.weights[index], self._buffer.sample_rate)
+            return _Frames(self._buffer, self.starts[index], self._n, self._win)
+        start = self.starts[index]
+        block = _span(self._buffer.samples, start, start + self._n)
+        if self._win is not None:
+            block = block * self._win
+        return Frame(block, self.weights[index], self._buffer.sample_rate)
+
+    def live(self, threshold: float) -> list[int]:
+        return [i for i, weight in enumerate(self.weights) if weight >= threshold]
+
+
+def _span(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """``x[..., start:stop]`` reading zeros outside the signal; a view when inside it."""
+    length = x.shape[-1]
+    if start >= 0 and stop <= length:
+        return x[..., start:stop]
+    out = np.zeros(x.shape[:-1] + (stop - start,))
+    lo, hi = max(start, 0), min(stop, length)
+    if lo < hi:
+        out[..., lo - start : hi - start] = x[..., lo:hi]
+    return out
 
 
 def rms_weight(samples) -> float:
@@ -113,7 +132,7 @@ def frame_signal(
     if not 0 < tukey_alpha <= 1:
         raise ValueError(f"tukey_alpha must lie in (0, 1], got {tukey_alpha!r}")
 
-    return _Frames(buffer, range(0, buffer.num_samples, h), _make_window(window, n, tukey_alpha))
+    return _Frames(buffer, range(0, buffer.num_samples, h), n, _make_window(window, n, tukey_alpha))
 
 
 def fft_convolve(signal, kernel, out=None) -> np.ndarray:

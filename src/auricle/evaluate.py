@@ -21,7 +21,7 @@ from .metrics import (
     delta_itd,
     ssr_srr,
 )
-from .scene import MANIFEST_NAME, STEM_NAMES, Manifest, read_manifest
+from .scene import MANIFEST_NAME, STEM_NAMES, read_manifest
 
 __all__ = [
     "MetricRow",
@@ -52,27 +52,21 @@ class MetricRow:
         return getattr(self, field)
 
 
-def evaluate_track(
-    ref_dir,
-    est_dir,
-    manifest: Manifest | None = None,
-    cfg: MetricConfig = DEFAULT_CONFIG,
-) -> list[MetricRow]:
-    """Compute SSR/SRR and interaural-cue deltas for every stem of one track."""
+def evaluate_track(ref_dir, est_dir, cfg: MetricConfig = DEFAULT_CONFIG) -> list[MetricRow]:
+    """Compute SSR/SRR and interaural-cue deltas for every stem of one track.
+
+    The reference directory's ``layout.json``, if any, gives the track id and
+    each stem's azimuth.
+    """
     ref_dir = Path(ref_dir)
     est_dir = Path(est_dir)
-    if manifest is None and (ref_dir / MANIFEST_NAME).exists():
-        manifest = read_manifest(ref_dir / MANIFEST_NAME)
+    manifest = read_manifest(ref_dir / MANIFEST_NAME) if (ref_dir / MANIFEST_NAME).exists() else None
     track_id = manifest.song_id if manifest else ref_dir.name
 
     rows = []
     for stem in STEM_NAMES:
         ref_path = ref_dir / f"{stem}.wav"
         est_path = est_dir / f"{stem}.wav"
-        if not ref_path.exists():
-            raise FileNotFoundError(f"reference stem {stem!r} missing from {ref_dir}")
-        if not est_path.exists():
-            raise FileNotFoundError(f"estimated stem {stem!r} missing from {est_dir}")
         ref = read_wav(ref_path)
         est = read_wav(est_path)
         if ref.num_channels != 2 or est.num_channels != 2:
@@ -139,7 +133,7 @@ def evaluate_tree(
     ref_root = Path(ref_root)
     est_root = Path(est_root)
     tracks = discover_tracks(ref_root)
-    args = ([ref_root / t for t in tracks], [est_root / t for t in tracks], repeat(None), repeat(cfg))
+    args = ([ref_root / t for t in tracks], [est_root / t for t in tracks], repeat(cfg))
 
     if jobs <= 1:
         per_track = list(map(evaluate_track, *args))

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 GRID_DEGREES = tuple(range(-90, 91, 10))
+SAMPLE_RATE = 44100
 
 
 @dataclass
@@ -104,10 +105,10 @@ def _read_index(directory: Path) -> tuple[str, dict]:
     return directory.name, {a: directory / f"azi_{a}_ele_0.wav" for a in GRID_DEGREES}
 
 
-def load_hrir_database(directory, expected_rate: int = 44100) -> HrirDatabase:
+def load_hrir_database(directory) -> HrirDatabase:
     """Load all 19 grid angles from ``directory``.
 
-    Every file must be a stereo WAV at ``expected_rate``; a missing angle,
+    Every file must be a stereo WAV at ``SAMPLE_RATE``; a missing angle,
     a mono file, or a rate mismatch is a hard error naming the angle. The
     subject is ``index.json``'s ``subject_id`` if given, else the
     directory's name.
@@ -125,17 +126,17 @@ def load_hrir_database(directory, expected_rate: int = 44100) -> HrirDatabase:
         buf = read_wav(path)
         if buf.num_channels != 2:
             raise ValueError(f"HRIR {path} for azimuth {angle} is not stereo")
-        if buf.sample_rate != expected_rate:
+        if buf.sample_rate != SAMPLE_RATE:
             raise ValueError(
                 f"sample-rate mismatch for azimuth {angle}: "
-                f"{path} is {buf.sample_rate} Hz, expected {expected_rate}"
+                f"{path} is {buf.sample_rate} Hz, expected {SAMPLE_RATE}"
             )
         entries[angle] = HrirPair(angle, buf.left, buf.right, buf.sample_rate)
     return HrirDatabase(subject, entries)
 
 
-def save_hrir_database(db: HrirDatabase, directory, encoding: str = "float32") -> None:
-    """Write ``db`` in the on-disk layout that load_hrir_database reads.
+def save_hrir_database(db: HrirDatabase, directory) -> None:
+    """Write ``db`` as float32 WAVs in the on-disk layout that load_hrir_database reads.
 
     Useful for converting a downloaded HRIR set into this tool's layout.
     """
@@ -144,31 +145,30 @@ def save_hrir_database(db: HrirDatabase, directory, encoding: str = "float32") -
     for angle in GRID_DEGREES:
         pair = db[angle]
         buf = AudioBuffer(np.stack([pair.left, pair.right]), pair.sample_rate)
-        write_wav(directory / f"azi_{angle}_ele_0.wav", buf, encoding=encoding)
+        write_wav(directory / f"azi_{angle}_ele_0.wav", buf)
 
 
-def spherical_head_database(
-    sample_rate: int = 44100,
-    ir_length: int = 128,
-    head_radius_m: float = 0.0875,
-    max_shadow_db: float = 6.0,
-    subject_id: str = "sphere",
-) -> HrirDatabase:
-    """Rigid-sphere stand-in for a measured HRIR set.
+def spherical_head_database(ir_length: int = 128) -> HrirDatabase:
+    """Rigid-sphere stand-in for a measured HRIR set, at ``SAMPLE_RATE``.
 
     Interaural delay follows the Woodworth model, rounded to whole samples;
     the far ear gets a broadband head-shadow attenuation growing with |azimuth|.
     Both ears share the same short pulse shape, so rendered signals carry
-    exact integer-sample interaural lags. Intended for tests and demos where
+    exact integer-sample interaural lags. ``ir_length`` must hold the far
+    ear's delayed pulse at +-90 degrees. Intended for tests and demos where
     no measured database is available, not for listening.
     """
+    head_radius_m = 0.0875
     speed_of_sound = 343.0
+    max_shadow_db = 6.0
     pulse = (-0.4) ** np.arange(6)  # unit impulse with a short alternating tail
     entries = {}
-    for angle in GRID_DEGREES:
+    for angle in GRID_DEGREES:  # from -90, whose far-ear pulse ends last
         theta = math.radians(abs(angle))
         itd = head_radius_m / speed_of_sound * (theta + math.sin(theta))
-        delay = round(itd * sample_rate)
+        delay = round(itd * SAMPLE_RATE)
+        if delay + pulse.size > ir_length:
+            raise ValueError(f"ir_length must be at least {delay + pulse.size} for azimuth {angle}, got {ir_length}")
         shadow = 10.0 ** (-max_shadow_db * math.sin(theta) / 20.0)
 
         near = np.zeros(ir_length)
@@ -179,5 +179,5 @@ def spherical_head_database(
             left, right = near, far
         else:
             left, right = far, near
-        entries[angle] = HrirPair(angle, left, right, sample_rate)
-    return HrirDatabase(subject_id, entries)
+        entries[angle] = HrirPair(angle, left, right, SAMPLE_RATE)
+    return HrirDatabase("sphere", entries)

@@ -16,6 +16,7 @@ Five quantities are computed between a reference stem and an estimated stem:
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import accumulate
@@ -25,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len
 
 from .audio import AudioBuffer
-from .dsp import Frame, frame_signal, rms_weight
+from .dsp import Frame, _Frames, _span, frame_signal
 
 __all__ = [
     "MetricConfig",
@@ -206,7 +207,7 @@ def signal_itd_lag(buffer: AudioBuffer, cfg: MetricConfig = DEFAULT_CONFIG) -> i
     if buffer.num_channels != 2:
         raise ValueError("ITD needs a stereo signal")
     frames = frame_signal(buffer, cfg.itd_frame_len, cfg.itd_frame_len, "tukey", cfg.tukey_alpha)
-    live = [i for i, weight in enumerate(frames.weights) if weight >= cfg.silence_threshold]
+    live = frames.live(cfg.silence_threshold)
     # rest[k] is the weight of live frames k onwards. The stop survives rounding
     # (eps = 2**-53; m live frames of total weight W; q frames left, of exact
     # weight R). Adding a positive weight never lowers a float sum, so the
@@ -346,18 +347,6 @@ def _energy(block: np.ndarray) -> float:
     return sum(_dot(row, row) for row in block)
 
 
-def _span(x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """``x[..., start:stop]`` reading zeros outside the signal; a view when inside it."""
-    length = x.shape[-1]
-    if start >= 0 and stop <= length:
-        return x[..., start:stop]
-    out = np.zeros(x.shape[:-1] + (stop - start,))
-    lo, hi = max(start, 0), min(stop, length)
-    if lo < hi:
-        out[..., lo - start : hi - start] = x[..., lo:hi]
-    return out
-
-
 def _segment_terms(ref: np.ndarray, est: np.ndarray, a: int, b: int, max_delay: int) -> np.ndarray:
     """Per-lag cross terms and shifted-reference energies of samples [a, b).
 
@@ -378,17 +367,6 @@ def _segment_terms(ref: np.ndarray, est: np.ndarray, a: int, b: int, max_delay: 
     np.cumsum(region * region, axis=-1, out=squared[:, 1:])
     terms[1] = squared[:, b - a :] - squared[:, :lags]
     return terms
-
-
-def _frame_cuts(start: int, n: int, hop: int, length: int) -> list[int]:
-    """Segment boundaries of the frame [start, start + n) on the grid range(0, length, hop).
-
-    Every grid frame's start and end is a cut, so frames that overlap share
-    their segments.
-    """
-    inner = set(range(start + hop, min(start + n, length), hop))
-    inner.update(g + n for g in range(start - hop, max(start - n, -1), -hop))
-    return [start, *sorted(inner), start + n]
 
 
 def _project(
@@ -440,21 +418,23 @@ def _project(
     )
 
 
-def _projections(ref: np.ndarray, est: np.ndarray, n: int, hop: int, max_delay: int, starts):
+def _projections(ref: np.ndarray, est: np.ndarray, grid, n: int, max_delay: int, starts):
     """Yield ``(start, decomposition)`` for each frame start in ``starts``.
 
-    Frames are ``[start, start + n)`` on the grid ``range(0, length, hop)``,
-    reading zeros past the signals' ends; ``starts`` is an increasing subset
-    of the grid. Delay d reads the reference ``d`` samples earlier, from the
-    surrounding signal. Each segment between frame boundaries gets its
-    per-lag terms computed once, and a frame's scores are the sum of its
-    segments' terms in segment order; only the current frame's segments are
+    Frames are ``[start, start + n)`` for ``start`` in ``grid``, reading
+    zeros past the signals' ends; ``starts`` is an increasing subset of the
+    grid. Delay d reads the reference ``d`` samples earlier, from the
+    surrounding signal. Every grid frame's start and end cuts the signal, so
+    frames that overlap share the segments between cuts: each segment gets
+    its per-lag terms computed once, and a frame's scores are the sum of its
+    segments' terms in segment order. Only the current frame's segments are
     held, and one frame's arrays are built at a time.
     """
+    cuts = sorted({*grid, *(g + n for g in grid)})
     terms = {}
     for start in starts:
-        cuts = _frame_cuts(start, n, hop, ref.shape[1])
-        spans = list(zip(cuts, cuts[1:]))
+        inner = cuts[bisect_left(cuts, start) : bisect_right(cuts, start + n)]
+        spans = list(zip(inner, inner[1:]))
         terms = {ab: terms[ab] if ab in terms else _segment_terms(ref, est, *ab, max_delay) for ab in spans}
         yield start, _project(ref, est, start, n, max_delay, sum(terms[ab] for ab in spans))
 
@@ -476,7 +456,7 @@ def project_gain_delay(
         raise ValueError(f"frame shapes differ: {ref.shape} vs {est.shape}")
     n = ref.shape[1]
     max_delay = cfg.proj_delay_samples(ref_frame.sample_rate)
-    _, dec = next(_projections(ref, est, n, n, max_delay, [0]))
+    _, dec = next(_projections(ref, est, [0], n, max_delay, [0]))
     return dec
 
 
@@ -493,8 +473,10 @@ def ssr_srr(
 ) -> tuple[MetricValue, MetricValue]:
     """Median frame-wise spatial and residual distortion ratios, in dB.
 
-    Signals are cut into rectangular frames (ssr_window / ssr_hop); frames
-    whose reference RMS is below the silence threshold are skipped. Per frame
+    Signals are cut into rectangular frames (ssr_window / ssr_hop) on the
+    frame grid and silence gate that the ITD frames use too: a frame is
+    skipped when the RMS of the reference's real samples, louder channel, is
+    below the silence threshold. Per frame
     and channel the reference is projected onto the estimate with the best
     gain and integer delay, drawing shifted samples from the surrounding
     signal so a globally delayed estimate incurs no frame-boundary penalty.
@@ -507,16 +489,13 @@ def ssr_srr(
     reference, estimate = align_pair(reference, estimate, cfg)
     fs = reference.sample_rate
     n, hop = cfg.ssr_frame_samples(fs)
+    frames = _Frames(reference, range(0, reference.num_samples, hop), n)
+    starts = [frames.starts[i] for i in frames.live(cfg.silence_threshold)]
     ref, est = reference.samples, estimate.samples
-    starts = [
-        start
-        for start in range(0, reference.num_samples, hop)
-        if rms_weight(ref[:, start : start + n]) >= cfg.silence_threshold
-    ]
 
     ssr_frames = []
     srr_frames = []
-    for start, dec in _projections(ref, est, n, hop, cfg.proj_delay_samples(fs), starts):
+    for start, dec in _projections(ref, est, frames.starts, n, cfg.proj_delay_samples(fs), starts):
         ssr_frames.append(_energy_ratio_db(_energy(ref[:, start : start + n]), _energy(dec.spatial_error)))
         srr_frames.append(_energy_ratio_db(_energy(dec.projected), _energy(dec.residual_error)))
         del dec  # free this frame's arrays before the next frame's are built

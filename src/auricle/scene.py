@@ -203,8 +203,6 @@ def synthesize_track(
     sources = {}
     for stem in STEM_NAMES:
         path = track_dir / f"{stem}.wav"
-        if not path.exists():
-            raise FileNotFoundError(f"stem {stem!r} missing from {track_dir}")
         stereo = read_wav(path)
         try:
             sources[stem] = downmix_mono(stereo)

@@ -52,7 +52,7 @@ def _make_row(track, stem, az, itd=0.0, ild=0.0, ssr=10.0, srr=5.0):
 
 def test_self_evaluation_identity(synth_song):
     out, manifest = synth_song
-    rows = evaluate_track(out, out, manifest)
+    rows = evaluate_track(out, out)
     assert [r.stem for r in rows] == list(STEM_NAMES)
     for row in rows:
         assert row.delta_itd_us.value == 0.0

@@ -115,3 +115,11 @@ def test_spherical_head_structure(sphere_db):
     mirrored = sphere_db[-90]
     assert np.array_equal(mirrored.left, lateral.right)
     assert np.array_equal(mirrored.right, lateral.left)
+
+
+@pytest.mark.parametrize("ir_length", [1, 6, 34])
+def test_sphere_too_short_for_the_far_ear_is_named(ir_length):
+    # The far ear's 6-tap pulse starts 29 samples late at +-90 degrees.
+    with pytest.raises(ValueError, match=rf"^ir_length must be at least 35 for azimuth -90, got {ir_length}$"):
+        spherical_head_database(ir_length=ir_length)
+    assert np.flatnonzero(spherical_head_database(ir_length=35)[-90].left)[-1] == 34  # the pulse ends on the last tap

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from auricle import AudioBuffer, MetricConfig, ssr_srr
+from auricle import AudioBuffer, MetricConfig, rms_weight, signal_itd_lag, ssr_srr
+from auricle import metrics
 
 from helpers import noise_buffer, shift_zero_fill
 
@@ -100,6 +101,61 @@ def test_silent_frames_skipped(rng):
     ref = AudioBuffer(np.concatenate([np.zeros((2, FS)), loud], axis=1), FS)
     ssr, srr = ssr_srr(ref, ref)
     assert ssr.is_infinite and srr.is_infinite
+
+
+@pytest.mark.parametrize("tail", [4410, 2000])  # a full last frame and a short one
+def test_itd_and_ssr_frames_pass_one_gate(rng, tail):
+    """A frame whose own weight is the threshold passes both metric gates; one float higher, neither."""
+    samples = np.zeros((2, 4410 + tail))
+    samples[:, 4410:] = rng.normal(size=(2, tail)) * 0.1
+    sig = AudioBuffer(samples, FS)
+    weight = rms_weight(samples[:, 4410:])  # unwindowed RMS of the real samples, louder channel
+    for threshold, kept in ((weight, True), (np.nextafter(weight, np.inf), False)):
+        cfg = MetricConfig(itd_frame_len=0.1, ssr_window=0.1, ssr_hop=0.1, silence_threshold=float(threshold))
+        assert (signal_itd_lag(sig, cfg) is not None) is kept
+        assert [v.is_undefined for v in ssr_srr(sig, sig, cfg)] == [not kept] * 2
+
+
+def test_overlapping_frames_share_segments(rng, monkeypatch):
+    """At the default 1 s window and 0.5 s hop, 10 s has 20 frames of 2 segments but 21 distinct segments."""
+    calls = []
+    terms = metrics._segment_terms
+    monkeypatch.setattr(metrics, "_segment_terms", lambda *args: calls.append(args[2:4]) or terms(*args))
+    ref = noise_buffer(rng, seconds=10.0)
+    ssr_srr(ref, ref)
+    assert sorted(calls) == [(k * FS // 2, (k + 1) * FS // 2) for k in range(21)]
+
+
+@pytest.mark.parametrize("hop", [0.02, 0.01, 0.0073, 0.0049])
+def test_frame_segments_are_the_grid_cuts_inside_it(rng, monkeypatch, hop):
+    """Each frame sums the terms of the segments between the grid starts and ends inside it, each computed once."""
+    cfg = MetricConfig(ssr_window=0.02, ssr_hop=hop)
+    n, step = cfg.ssr_frame_samples(FS)
+    ref = noise_buffer(rng, seconds=0.2)
+    ids = {}
+
+    def tagged_terms(ref_, est_, a, b, max_delay):
+        # Segment k's terms are 2**k everywhere, so a frame's sum names its segments exactly.
+        assert (a, b) not in ids
+        ids[a, b] = len(ids)
+        return np.full((2, 2, 2 * max_delay + 1), 2.0 ** ids[a, b])
+
+    sums = {}
+    project = metrics._project
+
+    def spy(ref_, est_, start, n_, max_delay, terms):
+        sums[start] = terms[0, 0, 0]
+        return project(ref_, est_, start, n_, max_delay, terms)
+
+    monkeypatch.setattr(metrics, "_segment_terms", tagged_terms)
+    monkeypatch.setattr(metrics, "_project", spy)
+    ssr_srr(ref, ref, cfg)
+    grid = range(0, ref.num_samples, step)
+    assert list(sums) == list(grid)
+    for start in grid:
+        inside = range(start, start + n + 1)
+        cuts = sorted({g for g in grid if g in inside} | {g + n for g in grid if g + n in inside})
+        assert sums[start] == sum(2.0 ** ids[ab] for ab in zip(cuts, cuts[1:]))
 
 
 def test_length_mismatch_rules(rng):
