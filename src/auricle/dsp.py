@@ -1,11 +1,12 @@
 """Framing, windowing, FFT convolution and RMS energy primitives."""
 
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .audio import AudioBuffer
 
@@ -98,6 +99,29 @@ def _tukey(length: int, alpha: float) -> np.ndarray:
     return np.concatenate((head, np.ones(length - 2 * width - 1), tail))
 
 
+@cache
+def _smooth_numbers(bits: int) -> tuple[int, ...]:
+    """The 2·3·5·7·11-smooth integers below 2**bits, ascending."""
+    numbers = [1]
+    for prime in (2, 3, 5, 7, 11):
+        more = []
+        for n in numbers:
+            while n < 1 << bits:
+                more.append(n)
+                n *= prime
+        numbers = more
+    return tuple(sorted(numbers))
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 2·3·5·7·11-smooth integer >= target >= 1: ``scipy.fft.next_fast_len(target)``.
+
+    2**target.bit_length() is one such integer, so the answer lies in the memoized table below twice that.
+    """
+    table = _smooth_numbers(target.bit_length() + 1)
+    return table[bisect_left(table, target)]
+
+
 def _make_window(name: str, length: int, tukey_alpha: float) -> np.ndarray:
     if name == "tukey":
         return _tukey(length, tukey_alpha)
@@ -162,16 +186,19 @@ def fft_convolve(signal, kernel, out=None) -> np.ndarray:
     # One block when the output fits in max(8 kernel lengths, 1024) samples,
     # else blocks of that size. A block is at least twice the kernel, so its
     # tail (taps - 1 samples) overlaps only the next block.
-    nfft = next_fast_len(max(min(size, max(8 * taps, 1024)), 2 * taps))
+    nfft = _next_fast_len(max(min(size, max(8 * taps, 1024)), 2 * taps))
     step = nfft - taps + 1  # signal samples per block
     per_pass = max(1, _PASS_SAMPLES // nfft) * step
-    spectrum = rfft(k, nfft)
+    spectrum = np.fft.rfft(k, nfft)
     for first in range(0, n, per_pass):
         chunk = x[first : first + per_pass]
         count = -(-chunk.size // step)
-        blocks = np.zeros((count, step))
-        blocks.reshape(-1)[: chunk.size] = chunk
-        y = irfft(rfft(blocks, nfft) * spectrum, nfft)
+        # Blocks carry their own zero padding: numpy.fft pads a short row more slowly than it transforms a full one.
+        blocks = np.zeros((count, nfft))
+        full = chunk.size // step
+        blocks[:full, :step] = chunk[: full * step].reshape(full, step)
+        blocks[full:, : chunk.size - full * step] = chunk[full * step :]
+        y = np.fft.irfft(np.fft.rfft(blocks) * spectrum, nfft)
         # Block i starts at i * step; its last taps - 1 samples overlap block i + 1.
         acc = np.zeros((count + 1) * step)
         acc[: count * step] = y[:, :step].reshape(-1)

@@ -23,10 +23,9 @@ from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import next_fast_len
 
 from .audio import AudioBuffer
-from .dsp import Frame, _Frames, _span, frame_signal
+from .dsp import Frame, _Frames, _next_fast_len, _span, frame_signal
 
 __all__ = [
     "MetricConfig",
@@ -180,7 +179,7 @@ def gcc_phat_tdoa(frame: Frame, cfg: MetricConfig = DEFAULT_CONFIG) -> int:
     max_shift = cfg.max_lag_samples(frame.sample_rate)
     if n < 2 * max_shift:
         raise ValueError(f"frame of {n} samples is shorter than 2 * max_lag = {2 * max_shift}")
-    nfft = next_fast_len(2 * n)  # part of the metric: PHAT makes the bin grid shape the ITD vote
+    nfft = _next_fast_len(2 * n)  # part of the metric: PHAT makes the bin grid shape the ITD vote
     spec_l = np.fft.rfft(frame.samples[0], nfft)
     spec_r = np.fft.rfft(frame.samples[1], nfft)
     cross = spec_l * np.conj(spec_r)

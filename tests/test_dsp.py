@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.signal import windows
 
 import auricle.dsp
@@ -232,3 +233,14 @@ def test_rms_weight_values(rng):
     assert rms_weight(const) == pytest.approx(0.5)
     noise = rng.normal(size=22050) * 0.1
     assert rms_weight(noise) == pytest.approx(0.1, rel=0.05)
+
+
+def test_next_fast_len_equals_scipy_up_to_200000():
+    got = [auricle.dsp._next_fast_len(t) for t in range(1, 200_001)]
+    assert got == [next_fast_len(t) for t in range(1, 200_001)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 10**8))
+def test_next_fast_len_equals_scipy_up_to_1e8(target):
+    assert auricle.dsp._next_fast_len(target) == next_fast_len(target)

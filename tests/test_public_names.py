@@ -2,7 +2,7 @@
 
 The benchmark tracer wraps each name in the ``__all__`` of the layers listed
 in ``bench/tracing.py``, so a stale entry there breaks every traced run. The
-program imports only the parts of scipy it uses.
+program imports no scipy: scipy is a test dependency only.
 """
 
 import ast
@@ -45,10 +45,22 @@ def test_package_imports_resolve():
 
 
 def test_cli_import_loads_neither_scipy_signal_nor_stats():
-    # scipy.signal pulls in scipy.stats, scipy.interpolate and about 400 more modules at start-up
+    # scipy is a test dependency only: a fresh interpreter running the CLI loads none of it
     src = str(Path(auricle.__file__).resolve().parents[1])
     child = "import sys; sys.path.insert(0, sys.argv[1]); import auricle.cli; print(*sys.modules, sep='\\n')"
     out = subprocess.run([sys.executable, "-c", child, src], capture_output=True, text=True, check=True)
     loaded = out.stdout.split()
     assert "auricle.cli" in loaded
-    assert [m for m in loaded if m.split(".")[:2] in (["scipy", "signal"], ["scipy", "stats"])] == []
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_no_source_file_imports_scipy():
+    imported = []
+    for path in sorted(Path(auricle.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((path.name, node.module))
+    assert len(imported) > 10
+    assert [(name, module) for name, module in imported if module.split(".")[0] == "scipy"] == []
