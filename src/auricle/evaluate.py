@@ -7,7 +7,7 @@ synthesis manifest (layout.json) the stem azimuths are attached to each row.
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -33,9 +33,6 @@ __all__ = [
     "read_rows_csv",
 ]
 
-METRIC_FIELDS = ("ssr_db", "srr_db", "delta_itd_us", "delta_ild_db")
-
-
 @dataclass
 class MetricRow:
     """All four metrics for one (track, stem) pair."""
@@ -50,6 +47,10 @@ class MetricRow:
 
     def metric(self, field: str) -> MetricValue:
         return getattr(self, field)
+
+
+_COLUMNS = tuple(f.name for f in fields(MetricRow))  # the metrics CSV header
+METRIC_FIELDS = tuple(f.name for f in fields(MetricRow) if f.type is MetricValue)
 
 
 def evaluate_track(ref_dir, est_dir, cfg: MetricConfig = DEFAULT_CONFIG) -> list[MetricRow]:
@@ -143,12 +144,12 @@ def evaluate_tree(
     return [row for rows in per_track for row in rows]
 
 
-def _encode_value(value: MetricValue) -> str:
+def _encode_cell(value) -> str:
+    if not isinstance(value, MetricValue):
+        return "" if value is None else value
     if value.is_undefined:
         return ""
-    if value.is_infinite:
-        return "inf"
-    return repr(value.value)
+    return "inf" if value.is_infinite else repr(value.value)
 
 
 def _decode_value(text: str) -> MetricValue:
@@ -158,21 +159,14 @@ def _decode_value(text: str) -> MetricValue:
 
 
 def write_rows_csv(rows, path) -> None:
-    """Write per-(track, stem) metric rows; '' = undefined, 'inf' = infinite."""
+    """Write per-(track, stem) metric rows; '' = undefined or no azimuth, 'inf' = infinite."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["track_id", "stem", "azimuth_deg"] + list(METRIC_FIELDS))
+        writer.writerow(_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    row.track_id,
-                    row.stem,
-                    "" if row.azimuth_deg is None else row.azimuth_deg,
-                ]
-                + [_encode_value(row.metric(f)) for f in METRIC_FIELDS]
-            )
+            writer.writerow([_encode_cell(getattr(row, name)) for name in _COLUMNS])
 
 
 def read_rows_csv(path) -> list[MetricRow]:
@@ -180,8 +174,7 @@ def read_rows_csv(path) -> list[MetricRow]:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        expected = {"track_id", "stem", "azimuth_deg", *METRIC_FIELDS}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+        if reader.fieldnames is None or not set(_COLUMNS).issubset(reader.fieldnames):
             raise ValueError(f"{path} is not a metrics CSV (header {reader.fieldnames})")
         for rec in reader:
             rows.append(

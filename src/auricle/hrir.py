@@ -27,6 +27,7 @@ __all__ = [
 
 GRID_DEGREES = tuple(range(-90, 91, 10))
 SAMPLE_RATE = 44100
+_FILE_NAME = "azi_{}_ele_0.wav"  # default per-angle file name
 
 
 @dataclass
@@ -102,7 +103,7 @@ def _read_index(directory: Path) -> tuple[str, dict]:
                 raise ValueError(f"{index}: key {key!r} is not a grid azimuth in [-90, 90]")
             files[angle] = directory / name
         return subject, files
-    return directory.name, {a: directory / f"azi_{a}_ele_0.wav" for a in GRID_DEGREES}
+    return directory.name, {a: directory / _FILE_NAME.format(a) for a in GRID_DEGREES}
 
 
 def load_hrir_database(directory) -> HrirDatabase:
@@ -145,7 +146,7 @@ def save_hrir_database(db: HrirDatabase, directory) -> None:
     for angle in GRID_DEGREES:
         pair = db[angle]
         buf = AudioBuffer(np.stack([pair.left, pair.right]), pair.sample_rate)
-        write_wav(directory / f"azi_{angle}_ele_0.wav", buf)
+        write_wav(directory / _FILE_NAME.format(angle), buf)
 
 
 def spherical_head_database(ir_length: int = 128) -> HrirDatabase:

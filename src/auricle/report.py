@@ -32,8 +32,8 @@ __all__ = [
 ]
 
 ANGLE_BIN_EDGES = (-90, -60, -30, 0, 30, 60, 90)
-GROUP_COLUMNS = ("bass", "drums", "other", "vocals", "overall")
-_BOX_KEYS = ("min", "q1", "median", "q3", "max")
+GROUP_COLUMNS = (*sorted(STEM_NAMES), "overall")
+_BOX_KEYS = {"min": 0, "q1": 25, "median": 50, "q3": 75, "max": 100}  # key -> percentile
 
 
 @dataclass
@@ -86,18 +86,8 @@ def _box(values) -> BoxStat:
     if not floats:
         return BoxStat({k: MetricValue.undefined() for k in _BOX_KEYS}, 0, excluded)
     arr = np.sort(np.asarray(floats))
-    stats = {
-        "min": arr[0],
-        "q1": _percentile(arr, 25),
-        "median": _percentile(arr, 50),
-        "q3": _percentile(arr, 75),
-        "max": arr[-1],
-    }
-    return BoxStat(
-        {k: MetricValue.from_float(float(v)) for k, v in stats.items()},
-        len(floats),
-        excluded,
-    )
+    stats = {k: MetricValue.from_float(_percentile(arr, q)) for k, q in _BOX_KEYS.items()}
+    return BoxStat(stats, len(floats), excluded)
 
 
 def _group(rows) -> tuple[dict, dict]:
@@ -138,23 +128,28 @@ def bin_by_angle(rows) -> list[AngleBin]:
     return bins
 
 
-def _format_value(value: MetricValue, excluded: int, full_precision: bool) -> str:
+def _format_cell(box: BoxStat, key: str, full_precision: bool) -> str:
+    value = box.stats[key]
     if value.is_undefined:
-        return f"n/a ({excluded} excluded)"
+        return f"n/a ({box.excluded} excluded)"
     if value.is_infinite:
         text = "inf"
     elif full_precision:
         text = repr(value.value)
     else:
         text = f"{value.value:.2f}"
-    if excluded:
-        text += f" ({excluded} excluded)"
+    if box.excluded:
+        text += f" ({box.excluded} excluded)"
     return text
 
 
 def _cells(per_stem: dict, pooled: dict, metric: str, key: str, full_precision: bool) -> list[str]:
     boxes = [per_stem[stem][metric] for stem in GROUP_COLUMNS[:-1]] + [pooled[metric]]
-    return [_format_value(box.stats[key], box.excluded, full_precision) for box in boxes]
+    return [_format_cell(box, key, full_precision) for box in boxes]
+
+
+def _md_rows(*rows) -> list[str]:
+    return ["| " + " | ".join(cells) + " |" for cells in rows]
 
 
 def write_report(
@@ -199,25 +194,21 @@ def _render_csv(report: MetricReport, full_precision: bool) -> str:
 
 
 def _render_markdown(report: MetricReport, full_precision: bool) -> str:
+    header = ["Metric", *(group.capitalize() for group in GROUP_COLUMNS)]
     lines = [
         "# Spatial metrics",
         "",
         "Medians of per-track values; 'inf' marks a zero-error (perfect) cell.",
         "",
-        "| Metric | Bass | Drums | Other | Vocals | Overall |",
-        "| --- | --- | --- | --- | --- | --- |",
+        *_md_rows(header, ["---"] * len(header)),
     ]
     for metric in METRIC_FIELDS:
         cells = _cells(report.by_instrument, report.overall, metric, "median", full_precision)
-        lines.append("| " + " | ".join([metric] + cells) + " |")
+        lines += _md_rows([metric] + cells)
     if report.by_angle is not None:
-        lines += ["", "## By azimuth bin (median across stems)", ""]
-        lines.append("| Bin | " + " | ".join(METRIC_FIELDS) + " |")
-        lines.append("| --- | --- | --- | --- | --- |")
+        header = ["Bin", *METRIC_FIELDS]
+        lines += ["", "## By azimuth bin (median across stems)", "", *_md_rows(header, ["---"] * len(header))]
         for b in report.by_angle:
-            cells = [
-                _format_value(b.pooled[m].median, b.pooled[m].excluded, full_precision)
-                for m in METRIC_FIELDS
-            ]
-            lines.append("| " + " | ".join([b.label] + cells) + " |")
+            cells = [_format_cell(b.pooled[m], "median", full_precision) for m in METRIC_FIELDS]
+            lines += _md_rows([b.label] + cells)
     return "\n".join(lines) + "\n"

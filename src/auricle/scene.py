@@ -10,7 +10,7 @@ import hashlib
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,36 +67,21 @@ class Manifest:
     normalization_gain: float
     stems: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "song_id": self.song_id,
-            "seed": self.seed,
-            "hrtf_subject": self.hrtf_subject,
-            "sample_rate": self.sample_rate,
-            "normalization_gain": self.normalization_gain,
-            "stems": {name: {"azimuth_deg": int(meta["azimuth_deg"])} for name, meta in self.stems.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Manifest":
-        return cls(
-            song_id=data["song_id"],
-            seed=int(data["seed"]),
-            hrtf_subject=data["hrtf_subject"],
-            sample_rate=int(data["sample_rate"]),
-            normalization_gain=float(data["normalization_gain"]),
-            stems=data["stems"],
-        )
-
     def write(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(asdict(self), fh, indent=2)
             fh.write("\n")
 
 
 def read_manifest(path) -> Manifest:
+    """Load a ``layout.json``; keys that ``Manifest`` does not define are ignored."""
     with open(path) as fh:
-        return Manifest.from_dict(json.load(fh))
+        data = json.load(fh)
+    names = [f.name for f in fields(Manifest)]
+    missing = [name for name in names if not isinstance(data, dict) or name not in data]
+    if missing:
+        raise ValueError(f"{path}: manifest lacks fields {missing}")
+    return Manifest(**{name: data[name] for name in names})
 
 
 def sample_layout(seed: int) -> SceneLayout:
@@ -219,7 +204,7 @@ def synthesize_track(
         raise ValueError(f"stems in {track_dir} differ in sample rate: {sorted(rates)}")
     rate = rates.pop()
     if rate != db.sample_rate:
-        raise ValueError(f"track rate {rate} Hz does not match HRIR rate {db.sample_rate} Hz")
+        raise ValueError(f"{track_dir}: track rate {rate} Hz does not match HRIR rate {db.sample_rate} Hz")
 
     # Sources are freed as rendered; the stems are this call's, so the mix may scale them in place.
     rendered = [binauralize(sources.pop(stem), db[layout.assignments[stem]]) for stem in STEM_NAMES]
@@ -236,7 +221,7 @@ def synthesize_track(
         hrtf_subject=db.subject_id,
         sample_rate=rate,
         normalization_gain=gain,
-        stems={stem: {"azimuth_deg": layout.assignments[stem]} for stem in STEM_NAMES},
+        stems={stem: {"azimuth_deg": int(layout.assignments[stem])} for stem in STEM_NAMES},
     )
     manifest.write(out_dir / MANIFEST_NAME)
     return manifest

@@ -1,4 +1,5 @@
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from auricle.metrics import NEG_DB_CLAMP
 from auricle.report import ANGLE_BIN_EDGES, _bin_index
 
 from helpers import make_song_dir, shift_zero_fill
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -379,3 +382,31 @@ def test_report_byte_stable_golden(tmp_path):
     got = (tmp_path / "r.csv").read_text()
     golden = (__import__("pathlib").Path(__file__).parent / "data" / "report_golden.csv").read_text()
     assert got == golden
+
+
+def _pinned_report():
+    # Bins [-60,-30) and [-30,0) stay empty; SRR holds one undefined value in
+    # [0,30) and in [60,90], next to defined ones; SSR has an infinite cell.
+    f, undefined = MetricValue.finite, MetricValue.undefined()
+    table = [
+        ("t1", "vocals", -80, f(10.125), f(3.5), f(0.0), f(0.25)),
+        ("t1", "bass", 0, MetricValue.infinite(), undefined, f(12.5), f(1 / 3)),
+        ("t1", "drums", 40, f(-2.0), f(1.0), f(25.0), f(0.5)),
+        ("t1", "other", 90, f(7.0), f(NEG_DB_CLAMP), f(50.0), f(2 / 3)),
+        ("t2", "vocals", 10, f(12.0), f(4.0), f(22.675736961451246), f(0.125)),
+        ("t2", "bass", 20, f(3.0), f(2.0), f(0.0), f(0.1)),
+        ("t2", "drums", 60, f(1.5), undefined, f(100.0), f(1.0)),
+        ("t2", "other", -70, f(9.75), f(6.0), f(45.35147392290249), f(0.2)),
+    ]
+    rows = [MetricRow(*cells) for cells in table]
+    report = aggregate_medians(rows)
+    report.by_angle = bin_by_angle(rows)
+    return report
+
+
+@pytest.mark.parametrize("fmt, suffix", [("csv", "csv"), ("markdown", "md")])
+@pytest.mark.parametrize("full_precision", [False, True])
+def test_report_by_angle_bytes_pinned(tmp_path, fmt, suffix, full_precision):
+    write_report(_pinned_report(), fmt, tmp_path / "report", full_precision=full_precision)
+    pinned = DATA / f"report_by_angle{'_full' if full_precision else ''}.{suffix}"
+    assert (tmp_path / "report").read_bytes() == pinned.read_bytes()

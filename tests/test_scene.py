@@ -1,6 +1,7 @@
 import hashlib
 import json
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import auricle.scene
 from auricle import (
     STEM_NAMES,
     AudioBuffer,
+    Manifest,
     binauralize,
     downmix_mono,
     fft_convolve,
@@ -250,3 +252,55 @@ def test_stem_length_mismatch_rejected(tmp_path, sphere_db, rng):
     write_wav(song / "other.wav", short, encoding="pcm16")
     with pytest.raises(ValueError, match="length"):
         synthesize_track(song, sphere_db, sample_layout(0), tmp_path / "out")
+
+
+def test_one_stem_at_another_rate_names_the_track(tmp_path, sphere_db, rng):
+    song = make_song_dir(tmp_path / "in", "song1", rng)
+    n = read_wav(song / "vocals.wav").num_samples
+    write_wav(song / "drums.wav", AudioBuffer(0.1 * rng.normal(size=(2, n)), 48000), encoding="pcm16")
+    with pytest.raises(ValueError, match=rf"stems in {re.escape(str(song))} differ in sample rate: \[44100, 48000\]"):
+        synthesize_track(song, sphere_db, sample_layout(0), tmp_path / "out")
+
+
+def test_track_rate_off_the_hrir_rate_names_the_track(tmp_path, sphere_db, rng):
+    song = make_song_dir(tmp_path / "in", "song1", rng, fs=48000)
+    with pytest.raises(ValueError, match=rf"{re.escape(str(song))}: track rate 48000 Hz does not match HRIR rate 44100 Hz"):
+        synthesize_track(song, sphere_db, sample_layout(0), tmp_path / "out")
+
+
+def test_layout_of_numpy_angles_writes_plain_json(tmp_path, sphere_db, rng):
+    song = make_song_dir(tmp_path / "in", "song1", rng)
+    layout = sample_layout(4)
+    numpy_layout = auricle.scene.SceneLayout({s: np.int64(a) for s, a in layout.assignments.items()}, layout.seed)
+    synthesize_track(song, sphere_db, numpy_layout, tmp_path / "out")
+    stems = json.loads((tmp_path / "out" / "layout.json").read_text())["stems"]
+    assert stems == {s: {"azimuth_deg": a} for s, a in layout.assignments.items()}
+
+
+def _manifest():
+    stems = {stem: {"azimuth_deg": angle} for stem, angle in zip(STEM_NAMES, (-30, 0, 40, 90))}
+    return Manifest("song1", 7, "sphere", 44100, 0.5, stems)
+
+
+def test_manifest_write_then_read_is_equal(tmp_path):
+    _manifest().write(tmp_path / "layout.json")
+    assert read_manifest(tmp_path / "layout.json") == _manifest()
+
+
+def test_manifest_with_an_unknown_key_loads(tmp_path):
+    path = tmp_path / "layout.json"
+    _manifest().write(path)
+    data = json.loads(path.read_text())
+    data["hrir_sha256"] = "0" * 64
+    path.write_text(json.dumps(data))
+    assert read_manifest(path) == _manifest()
+
+
+def test_manifest_missing_fields_are_named_with_the_file(tmp_path):
+    path = tmp_path / "layout.json"
+    _manifest().write(path)
+    data = json.loads(path.read_text())
+    del data["song_id"], data["normalization_gain"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: manifest lacks fields \['song_id', 'normalization_gain'\]"):
+        read_manifest(path)

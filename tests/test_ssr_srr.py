@@ -204,3 +204,15 @@ def test_frame_or_hop_under_one_sample_named(window, hop, message):
     cfg = MetricConfig(ssr_window=window, ssr_hop=hop)
     with pytest.raises(ValueError, match=message):
         ssr_srr(ref, ref, cfg)
+
+
+def test_disjoint_estimate_clamps_srr(rng):
+    # the reference sounds in [0, 0.4) s and the estimate in [0.6, 1.0) s: no frame
+    # projects any estimate energy onto the reference, so SRR's numerator is zero
+    ref = np.zeros((2, FS))
+    est = np.zeros((2, FS))
+    ref[:, : int(0.4 * FS)] = 0.1 * rng.normal(size=(2, int(0.4 * FS)))
+    est[:, int(0.6 * FS) :] = 0.1 * rng.normal(size=(2, FS - int(0.6 * FS)))
+    ssr, srr = ssr_srr(AudioBuffer(ref, FS), AudioBuffer(est, FS))
+    assert ssr.is_finite and ssr.value == 0.0
+    assert srr.is_finite and srr.value == metrics.NEG_DB_CLAMP == -200.0
