@@ -14,6 +14,8 @@ __all__ = ["Frame", "frame_signal", "fft_convolve", "rms_weight"]
 
 # FFT samples in one pass of fft_convolve (512 KiB of float64; two ears run at once)
 _PASS_SAMPLES = 1 << 16
+# Samples in one leaf of _dot's pairwise tree: the largest product it builds (512 KiB of float64)
+_DOT_LEAF = 1 << 16
 
 
 @dataclass
@@ -39,22 +41,21 @@ class Frame:
 
 
 class _Frames(Sequence):
-    """The frames ``[start, start + n)`` of one signal: the frame grid and silence gate of every metric framing.
+    """One signal's frames ``[start, start + n)``, every ``hop`` samples from 0: every metric's frame grid and gate.
 
     A frame is cut, zero-filled past the signal's end and windowed when indexed. ``weights``, all taken up
     front from the real samples, feed the gate: ``live(threshold)`` gives the indices of the frames that pass.
     """
 
-    def __init__(self, buffer: AudioBuffer, starts: range, n: int, win: np.ndarray | None = None):
-        self._buffer, self.starts, self._n, self._win = buffer, starts, n, win
-        self.weights = [rms_weight(buffer.samples[:, start : start + n]) for start in starts]
+    def __init__(self, buffer: AudioBuffer, n: int, hop: int, win: np.ndarray | None = None):
+        self._buffer, self._n, self._win = buffer, n, win
+        self.starts = range(0, buffer.num_samples, hop)
+        self.weights = [rms_weight(buffer.samples[:, start : start + n]) for start in self.starts]
 
     def __len__(self) -> int:
         return len(self.starts)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return _Frames(self._buffer, self.starts[index], self._n, self._win)
+    def __getitem__(self, index: int) -> Frame:
         start = self.starts[index]
         block = _span(self._buffer.samples, start, start + self._n)
         if self._win is not None:
@@ -77,12 +78,22 @@ def _span(x: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two 1-D arrays with the bits of ``np.add.reduce(a * b)``, never BLAS: numpy's pairwise
+    sum split the same way, at n // 2 rounded down to a multiple of 8, into leaves of at most ``_DOT_LEAF``."""
+    n = a.shape[0]
+    if n <= _DOT_LEAF:
+        return float(np.add.reduce(a * b))
+    half = n // 2 - n // 2 % 8
+    return _dot(a[:half], b[:half]) + _dot(a[half:], b[half:])
+
+
 def rms_weight(samples) -> float:
     """Max over channels of sqrt(mean(x^2)). Accepts (n,) or (channels, n)."""
     arr = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if arr.shape[1] == 0:
         raise ValueError("cannot compute RMS of an empty block")
-    return float(np.max(np.sqrt(np.mean(arr**2, axis=1))))
+    return max(math.sqrt(_dot(row, row) / arr.shape[1]) for row in arr)
 
 
 def _tukey(length: int, alpha: float) -> np.ndarray:
@@ -156,7 +167,7 @@ def frame_signal(
     if not 0 < tukey_alpha <= 1:
         raise ValueError(f"tukey_alpha must lie in (0, 1], got {tukey_alpha!r}")
 
-    return _Frames(buffer, range(0, buffer.num_samples, h), n, _make_window(window, n, tukey_alpha))
+    return _Frames(buffer, n, h, _make_window(window, n, tukey_alpha))
 
 
 def fft_convolve(signal, kernel, out=None) -> np.ndarray:

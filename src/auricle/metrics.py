@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
-from .dsp import Frame, _Frames, _next_fast_len, _span, frame_signal
+from .dsp import Frame, _dot, _Frames, _next_fast_len, _span, frame_signal
 
 __all__ = [
     "MetricConfig",
@@ -245,12 +245,16 @@ def signal_ild(buffer: AudioBuffer) -> MetricValue:
     """
     if buffer.num_channels != 2:
         raise ValueError("ILD needs a stereo signal")
-    energy_l = float(np.sum(buffer.left**2))
-    energy_r = float(np.sum(buffer.right**2))
+    energy_l, energy_r = (_dot(x, x) for x in buffer.samples)
     if energy_l == 0.0 and energy_r == 0.0:
         return MetricValue.undefined()
-    ratio = energy_l / energy_r if energy_r else math.inf
-    return MetricValue.from_float(10.0 * math.log10(ratio) if ratio else -math.inf)
+    return MetricValue.from_float(_energy_ratio_db(energy_l, energy_r))
+
+
+def _energy_ratio_db(numerator: float, denominator: float) -> float:
+    """10*log10(numerator / denominator): +inf for a zero denominator, -inf for a ratio that is or underflows to 0."""
+    ratio = numerator / denominator if denominator else math.inf
+    return 10.0 * math.log10(ratio) if ratio else -math.inf
 
 
 def _check_comparable(reference: AudioBuffer, estimate: AudioBuffer):
@@ -334,12 +338,6 @@ class SpatialDecomposition:
     gain: np.ndarray
     delay: np.ndarray
     reference_silent: np.ndarray
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two 1-D arrays by numpy's pairwise sum, never BLAS, so
-    its bits do not depend on the BLAS vendor, kernel or thread count."""
-    return float(np.add.reduce(a * b))
 
 
 def _energy(block: np.ndarray) -> float:
@@ -459,14 +457,6 @@ def project_gain_delay(
     return dec
 
 
-def _energy_ratio_db(numerator: float, denominator: float) -> float:
-    if denominator == 0.0:
-        return math.inf
-    if numerator == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(numerator / denominator)
-
-
 def ssr_srr(
     reference: AudioBuffer, estimate: AudioBuffer, cfg: MetricConfig = DEFAULT_CONFIG
 ) -> tuple[MetricValue, MetricValue]:
@@ -488,7 +478,7 @@ def ssr_srr(
     reference, estimate = align_pair(reference, estimate, cfg)
     fs = reference.sample_rate
     n, hop = cfg.ssr_frame_samples(fs)
-    frames = _Frames(reference, range(0, reference.num_samples, hop), n)
+    frames = _Frames(reference, n, hop)
     starts = [frames.starts[i] for i in frames.live(cfg.silence_threshold)]
     ref, est = reference.samples, estimate.samples
 

@@ -74,13 +74,20 @@ class Manifest:
 
 
 def read_manifest(path) -> Manifest:
-    """Load a ``layout.json``; keys that ``Manifest`` does not define are ignored."""
+    """Load a ``layout.json`` that places every stem; keys that ``Manifest`` does not define are ignored."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: manifest is not valid JSON: {exc}") from exc
     names = [f.name for f in fields(Manifest)]
     missing = [name for name in names if not isinstance(data, dict) or name not in data]
     if missing:
         raise ValueError(f"{path}: manifest lacks fields {missing}")
+    stems = data["stems"] if isinstance(data["stems"], dict) else {}
+    unplaced = [s for s in STEM_NAMES if not isinstance(stems.get(s), dict) or "azimuth_deg" not in stems[s]]
+    if unplaced:
+        raise ValueError(f"{path}: manifest stems lack an azimuth_deg for {unplaced}")
     return Manifest(**{name: data[name] for name in names})
 
 

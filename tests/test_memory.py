@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from auricle import MetricConfig, signal_itd_lag, ssr_srr
+from auricle import MetricConfig, signal_ild, signal_itd_lag, ssr_srr
 
 from helpers import noise_buffer
 
@@ -25,8 +25,12 @@ def pair():
 
 @pytest.mark.parametrize(
     "metric",
-    [lambda ref, est: ssr_srr(ref, est, CFG), lambda ref, est: signal_itd_lag(ref, CFG)],
-    ids=["ssr_srr", "signal_itd_lag"],
+    [
+        lambda ref, est: ssr_srr(ref, est, CFG),
+        lambda ref, est: signal_itd_lag(ref, CFG),
+        lambda ref, est: signal_ild(ref),
+    ],
+    ids=["ssr_srr", "signal_itd_lag", "signal_ild"],
 )
 def test_peak_allocation_below_a_tenth_of_one_signal(pair, metric):
     ref, est = pair

@@ -304,3 +304,22 @@ def test_manifest_missing_fields_are_named_with_the_file(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: manifest lacks fields \['song_id', 'normalization_gain'\]"):
         read_manifest(path)
+
+
+@pytest.mark.parametrize("stems", [{"vocals": {"azimuth_deg": -30}, "bass": {}, "other": {"azimuth_deg": 90}}, []])
+def test_manifest_stems_without_an_azimuth_are_named_with_the_file(tmp_path, stems):
+    path = tmp_path / "layout.json"
+    _manifest().write(path)
+    data = json.loads(path.read_text())
+    data["stems"] = stems
+    path.write_text(json.dumps(data))
+    unplaced = ["bass", "drums"] if stems else list(STEM_NAMES)
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: manifest stems lack an azimuth_deg for {re.escape(str(unplaced))}"):
+        read_manifest(path)
+
+
+def test_manifest_that_is_not_json_is_named_with_the_file(tmp_path):
+    path = tmp_path / "layout.json"
+    path.write_text("{not json")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: manifest is not valid JSON"):
+        read_manifest(path)

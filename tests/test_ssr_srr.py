@@ -216,3 +216,14 @@ def test_disjoint_estimate_clamps_srr(rng):
     ssr, srr = ssr_srr(AudioBuffer(ref, FS), AudioBuffer(est, FS))
     assert ssr.is_finite and ssr.value == 0.0
     assert srr.is_finite and srr.value == metrics.NEG_DB_CLAMP == -200.0
+
+
+def test_srr_ratio_underflowing_to_zero_clamps():
+    """A projection so small that projected / residual energy underflows to 0 gives SRR NEG_DB_CLAMP, not an error."""
+    rng = np.random.default_rng(1)
+    ref = np.zeros((2, FS))
+    ref[:, : FS // 2] = rng.normal(size=(2, FS // 2))
+    loud = np.zeros((2, FS))
+    loud[:, 22250:] = 300 * rng.normal(size=(2, FS - 22250))
+    ssr, srr = ssr_srr(AudioBuffer(ref, FS), AudioBuffer(loud + 1e-160 * ref, FS))
+    assert srr.is_finite and srr.value == metrics.NEG_DB_CLAMP == -200.0
