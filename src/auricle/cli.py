@@ -69,12 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     syn = sub.add_parser("synthesize", help="binauralize a stem dataset tree")
-    syn.add_argument("--musdb", required=True, help="dataset root with train/ and/or test/ song dirs")
+    syn.add_argument("--musdb", required=True, help="stem tree; every directory holding the four stems is a song")
     syn.add_argument("--hrir", required=True, help="HRIR directory (azi_<deg>_ele_0.wav files or index.json)")
-    syn.add_argument("--out", required=True, help="output root; mirrors the input layout")
+    syn.add_argument("--out", required=True, help="output root outside --musdb; mirrors the input layout")
     syn.add_argument("--seed", required=True, type=int, help="master seed for source placement")
     syn.add_argument("--encoding", choices=["float32", "pcm16"], default="float32")
-    syn.add_argument("--split", choices=["train", "test", "both"], default="both")
 
     ev = sub.add_parser("evaluate", help="compute spatial metrics for estimated stems")
     ev.add_argument("--reference", required=True, help="reference tree (with layout.json when synthesized)")
@@ -104,9 +103,7 @@ def run_cli(argv) -> int:
     try:
         if args.command == "synthesize":
             db = load_hrir_database(args.hrir)
-            manifests = synthesize_dataset(
-                args.musdb, db, args.out, args.seed, encoding=args.encoding, split=args.split
-            )
+            manifests = synthesize_dataset(args.musdb, db, args.out, args.seed, encoding=args.encoding)
             print(f"synthesized {len(manifests)} tracks into {args.out}")
         elif args.command == "evaluate":
             cfg = MetricConfig(**{

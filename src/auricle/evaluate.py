@@ -21,14 +21,13 @@ from .metrics import (
     delta_itd,
     ssr_srr,
 )
-from .scene import MANIFEST_NAME, STEM_NAMES, read_manifest
+from .scene import MANIFEST_NAME, STEM_NAMES, _azimuth, discover_tracks, read_manifest
 
 __all__ = [
     "MetricRow",
     "METRIC_FIELDS",
     "evaluate_track",
     "evaluate_tree",
-    "discover_tracks",
     "write_rows_csv",
     "read_rows_csv",
 ]
@@ -78,14 +77,11 @@ def evaluate_track(ref_dir, est_dir, cfg: MetricConfig = DEFAULT_CONFIG) -> list
             raise ValueError(f"{est_path}: {exc}") from exc
 
         ssr, srr = ssr_srr(ref, est, cfg)
-        azimuth = None
-        if manifest is not None:
-            azimuth = int(manifest.stems[stem]["azimuth_deg"])
         rows.append(
             MetricRow(
                 track_id=track_id,
                 stem=stem,
-                azimuth_deg=azimuth,
+                azimuth_deg=manifest.stems[stem]["azimuth_deg"] if manifest else None,
                 ssr_db=ssr,
                 srr_db=srr,
                 delta_itd_us=delta_itd(ref, est, cfg),
@@ -94,29 +90,6 @@ def evaluate_track(ref_dir, est_dir, cfg: MetricConfig = DEFAULT_CONFIG) -> list
         )
         del ref, est  # free this stem pair before the next one is read
     return rows
-
-
-def discover_tracks(ref_root) -> list[Path]:
-    """Relative paths of every directory under ref_root holding stem WAVs.
-
-    A directory holding some but not all stems is rejected, naming the
-    missing ones, before any track is scored.
-    """
-    ref_root = Path(ref_root)
-    if not ref_root.is_dir():
-        raise FileNotFoundError(f"reference root not found: {ref_root}")
-    tracks = set()
-    for stem in STEM_NAMES:
-        for hit in ref_root.rglob(f"{stem}.wav"):
-            tracks.add(hit.parent.relative_to(ref_root))
-    if not tracks:
-        raise FileNotFoundError(f"no stem WAVs found under {ref_root}")
-    tracks = sorted(tracks)
-    for track in tracks:
-        missing = [stem for stem in STEM_NAMES if not (ref_root / track / f"{stem}.wav").exists()]
-        if missing:
-            raise FileNotFoundError(f"reference track {ref_root / track} lacks stems {missing}")
-    return tracks
 
 
 def evaluate_tree(
@@ -152,10 +125,13 @@ def _encode_cell(value) -> str:
     return "inf" if value.is_infinite else repr(value.value)
 
 
-def _decode_value(text: str) -> MetricValue:
+def _decode_value(text: str, where: str) -> MetricValue:
     if text == "":
         return MetricValue.undefined()
-    return MetricValue.from_float(float(text))
+    try:
+        return MetricValue.from_float(float(text))
+    except (TypeError, ValueError):  # a short row leaves its last cells None
+        raise ValueError(f"{where} cell {text!r} is not a number") from None
 
 
 def write_rows_csv(rows, path) -> None:
@@ -177,14 +153,10 @@ def read_rows_csv(path) -> list[MetricRow]:
         if reader.fieldnames is None or not set(_COLUMNS).issubset(reader.fieldnames):
             raise ValueError(f"{path} is not a metrics CSV (header {reader.fieldnames})")
         for rec in reader:
-            rows.append(
-                MetricRow(
-                    track_id=rec["track_id"],
-                    stem=rec["stem"],
-                    azimuth_deg=int(rec["azimuth_deg"]) if rec["azimuth_deg"] else None,
-                    **{f: _decode_value(rec[f]) for f in METRIC_FIELDS},
-                )
-            )
+            where = f"{path}, line {reader.line_num}"
+            azimuth = _azimuth(rec["azimuth_deg"], where) if rec["azimuth_deg"] else None
+            values = {f: _decode_value(rec[f], f"{where}: {f}") for f in METRIC_FIELDS}
+            rows.append(MetricRow(rec["track_id"], rec["stem"], azimuth, **values))
     if not rows:
         raise ValueError(f"no rows in {path}")
     return rows

@@ -32,16 +32,13 @@ _FILE_NAME = "azi_{}_ele_0.wav"  # default per-angle file name
 
 @dataclass
 class HrirPair:
-    """Left/right impulse responses for one source direction."""
+    """Left/right impulse responses for one source direction; the database key is its azimuth."""
 
-    azimuth: int
     left: np.ndarray
     right: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        if self.azimuth not in GRID_DEGREES:
-            raise ValueError(f"azimuth {self.azimuth} is not on the 10-degree grid [-90, 90]")
         self.left = np.asarray(self.left, dtype=np.float64)
         self.right = np.asarray(self.right, dtype=np.float64)
         if self.left.ndim != 1 or self.right.ndim != 1:
@@ -75,9 +72,6 @@ class HrirDatabase:
     def __getitem__(self, azimuth: int) -> HrirPair:
         return self.entries[azimuth]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     @property
     def sample_rate(self) -> int:
         return self.entries[0].sample_rate
@@ -86,24 +80,33 @@ class HrirDatabase:
 def _read_index(directory: Path) -> tuple[str, dict]:
     """Subject name and per-angle file paths; ``index.json`` overrides both defaults."""
     index = directory / "index.json"
-    if index.exists():
-        with open(index) as fh:
+    if not index.exists():
+        return directory.name, {a: directory / _FILE_NAME.format(a) for a in GRID_DEGREES}
+    with open(index) as fh:
+        try:
             raw = json.load(fh)
-        subject = raw.pop("subject_id", directory.name)
-        if not isinstance(subject, str) or not subject:
-            raise ValueError(f"{index}: subject_id must be a non-empty string, got {subject!r}")
-        mapping = raw.get("files", raw)
-        files = {}
-        for key, name in mapping.items():
-            try:
-                angle = int(key)
-            except ValueError:
-                angle = None
-            if angle not in GRID_DEGREES:
-                raise ValueError(f"{index}: key {key!r} is not a grid azimuth in [-90, 90]")
-            files[angle] = directory / name
-        return subject, files
-    return directory.name, {a: directory / _FILE_NAME.format(a) for a in GRID_DEGREES}
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{index}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{index}: expected a JSON object, got {type(raw).__name__}")
+    subject = raw.pop("subject_id", directory.name)
+    if not isinstance(subject, str) or not subject:
+        raise ValueError(f"{index}: subject_id must be a non-empty string, got {subject!r}")
+    mapping = raw.get("files", raw)
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{index}: files must map azimuths to file names, got {type(mapping).__name__}")
+    files = {}
+    for key, name in mapping.items():
+        try:
+            angle = int(key)
+        except ValueError:
+            angle = None
+        if angle not in GRID_DEGREES:
+            raise ValueError(f"{index}: key {key!r} is not a grid azimuth in [-90, 90]")
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"{index}: file for azimuth {key!r} must be a file name, got {name!r}")
+        files[angle] = directory / name
+    return subject, files
 
 
 def load_hrir_database(directory) -> HrirDatabase:
@@ -132,7 +135,7 @@ def load_hrir_database(directory) -> HrirDatabase:
                 f"sample-rate mismatch for azimuth {angle}: "
                 f"{path} is {buf.sample_rate} Hz, expected {SAMPLE_RATE}"
             )
-        entries[angle] = HrirPair(angle, buf.left, buf.right, buf.sample_rate)
+        entries[angle] = HrirPair(buf.left, buf.right, buf.sample_rate)
     return HrirDatabase(subject, entries)
 
 
@@ -180,5 +183,5 @@ def spherical_head_database(ir_length: int = 128) -> HrirDatabase:
             left, right = near, far
         else:
             left, right = far, near
-        entries[angle] = HrirPair(angle, left, right, SAMPLE_RATE)
+        entries[angle] = HrirPair(left, right, SAMPLE_RATE)
     return HrirDatabase("sphere", entries)

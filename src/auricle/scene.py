@@ -31,6 +31,7 @@ __all__ = [
     "synthesize_track",
     "synthesize_dataset",
     "read_manifest",
+    "discover_tracks",
 ]
 
 STEM_NAMES = ("vocals", "bass", "drums", "other")
@@ -73,8 +74,19 @@ class Manifest:
             fh.write("\n")
 
 
+def _azimuth(value, where) -> int:
+    """An azimuth read from a file, a JSON number or CSV text, as an int; it must be an integer in [-90, 90]."""
+    try:
+        angle = int(value) if isinstance(value, str) else value
+    except ValueError:
+        angle = None
+    if type(angle) is not int or not -90 <= angle <= 90:
+        raise ValueError(f"{where}: azimuth_deg must be an integer in [-90, 90], got {value!r}")
+    return angle
+
+
 def read_manifest(path) -> Manifest:
-    """Load a ``layout.json`` that places every stem; keys that ``Manifest`` does not define are ignored."""
+    """Load a ``layout.json`` placing every stem at an integer azimuth in [-90, 90]; unknown keys are ignored."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -88,7 +100,28 @@ def read_manifest(path) -> Manifest:
     unplaced = [s for s in STEM_NAMES if not isinstance(stems.get(s), dict) or "azimuth_deg" not in stems[s]]
     if unplaced:
         raise ValueError(f"{path}: manifest stems lack an azimuth_deg for {unplaced}")
+    for stem in STEM_NAMES:
+        stems[stem]["azimuth_deg"] = _azimuth(stems[stem]["azimuth_deg"], f"{path}: {stem}")
     return Manifest(**{name: data[name] for name in names})
+
+
+def discover_tracks(root) -> list[Path]:
+    """Sorted relative paths of every directory under ``root`` holding stem WAVs.
+
+    Directories without stems are passed over; one holding only some stems is
+    rejected, naming the missing ones, before any track is read or written.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        raise FileNotFoundError(f"stem tree root not found: {root}")
+    tracks = sorted({hit.parent.relative_to(root) for stem in STEM_NAMES for hit in root.rglob(f"{stem}.wav")})
+    if not tracks:
+        raise FileNotFoundError(f"no stem WAVs found under {root}")
+    for track in tracks:
+        missing = [stem for stem in STEM_NAMES if not (root / track / f"{stem}.wav").exists()]
+        if missing:
+            raise FileNotFoundError(f"track {root / track} lacks stems {missing}")
+    return tracks
 
 
 def sample_layout(seed: int) -> SceneLayout:
@@ -240,31 +273,22 @@ def synthesize_dataset(
     out_root,
     master_seed: int,
     encoding: str = "float32",
-    split: str = "both",
 ) -> list[Manifest]:
-    """Binauralize a train/test stem dataset tree.
+    """Binauralize every song of a stem tree into the same relative path under ``out_root``.
 
+    A song is any directory holding the four stem WAVs (``discover_tracks``).
     Per-song layouts are derived from ``master_seed`` and the song name, so
     the result is independent of processing order and identical across runs.
+    ``out_root`` may not lie inside ``dataset_root``: a re-run would take its
+    own renders for songs.
     """
     dataset_root = Path(dataset_root)
     out_root = Path(out_root)
-    if split == "both":
-        splits = [s for s in ("train", "test") if (dataset_root / s).is_dir()]
-        if not splits:
-            raise FileNotFoundError(f"no train/ or test/ directory under {dataset_root}")
-    elif split in ("train", "test"):
-        if not (dataset_root / split).is_dir():
-            raise FileNotFoundError(f"split directory {dataset_root / split} not found")
-        splits = [split]
-    else:
-        raise ValueError(f"unknown split {split!r}; use 'train', 'test' or 'both'")
-
+    if out_root.resolve().is_relative_to(dataset_root.resolve()):
+        raise ValueError(f"output root {out_root} lies inside the dataset root {dataset_root}")
     manifests = []
-    for part in splits:
-        for song_dir in sorted(p for p in (dataset_root / part).iterdir() if p.is_dir()):
-            layout = sample_layout(song_seed(master_seed, song_dir.name))
-            manifests.append(
-                synthesize_track(song_dir, db, layout, out_root / part / song_dir.name, encoding)
-            )
+    for track in discover_tracks(dataset_root):
+        song_dir = dataset_root / track
+        layout = sample_layout(song_seed(master_seed, song_dir.name))
+        manifests.append(synthesize_track(song_dir, db, layout, out_root / track, encoding))
     return manifests

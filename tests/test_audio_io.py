@@ -212,6 +212,12 @@ _BROKEN = {  # name -> (file bytes, what the error names besides the path)
     "mu-law": (_riff((b"fmt ", _fmt(7, 2, 8)), (b"data", _STEREO16)), "mu-law"),
     "extensible mu-law": (_riff((b"fmt ", _fmt(7, 2, 8, extensible=True)), (b"data", _STEREO16)), "mu-law"),
     "RF64": (_riff((b"fmt ", _fmt(1, 2, 16)), (b"data", _STEREO16), form=b"RF64"), "RF64"),
+    "not WAVE": (b"RIFF" + struct.pack("<I", 4) + b"AVI ", "not a RIFF WAVE file (starts b'RIFF')"),
+    "short fmt": (_riff((b"fmt ", _fmt(1, 2, 16)[:14]), (b"data", _STEREO16)), "fmt chunk of 14 bytes"),
+    "partial frame": (
+        _riff((b"fmt ", _fmt(1, 2, 16)), (b"data", _STEREO16[:-2])),
+        "data chunk of 158 bytes is not a whole number of 4-byte frames",
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import re
 import string
 from pathlib import Path
 
@@ -163,6 +164,60 @@ def test_incomplete_reference_track_rejected_before_scoring(tmp_path, monkeypatc
     with pytest.raises(FileNotFoundError, match=r"b_partial lacks stems \['bass', 'drums', 'other'\]"):
         evaluate_tree(ref, ref)
     assert scored == []
+
+
+def test_discover_tracks_names_a_missing_root_and_an_empty_tree(tmp_path):
+    with pytest.raises(FileNotFoundError, match=f"stem tree root not found: {re.escape(str(tmp_path / 'nope'))}$"):
+        discover_tracks(tmp_path / "nope")
+    (tmp_path / "empty" / "song").mkdir(parents=True)
+    (tmp_path / "empty" / "song" / "mixture.wav").write_bytes(b"")
+    with pytest.raises(FileNotFoundError, match=f"no stem WAVs found under {re.escape(str(tmp_path / 'empty'))}$"):
+        discover_tracks(tmp_path / "empty")
+
+
+def test_evaluate_track_rejects_a_mono_stem_naming_it(synth_song, tmp_path):
+    out, _ = synth_song
+    est_dir = tmp_path / "est"
+    est_dir.mkdir()
+    for stem in STEM_NAMES:
+        (est_dir / f"{stem}.wav").write_bytes((out / f"{stem}.wav").read_bytes())
+    write_wav(est_dir / "vocals.wav", AudioBuffer(np.full(4410, 0.1), 44100))
+    with pytest.raises(ValueError, match=f"stems must be stereo: .* / {re.escape(str(est_dir / 'vocals.wav'))}$"):
+        evaluate_track(out, est_dir)
+
+
+def _rows_csv(tmp_path, azimuth="30", ssr="1.5"):
+    path = tmp_path / "rows.csv"
+    write_rows_csv([_make_row("t1", "vocals", 0), _make_row("t1", "bass", 10)], path)
+    lines = path.read_text().splitlines()
+    lines[2] = f"t1,bass,{azimuth},{ssr},5.0,0.0,0.0"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("azimuth", ["-120", "150", "30.5", "abc"])
+def test_rows_csv_azimuth_off_the_integer_range_is_named_with_the_line(tmp_path, azimuth):
+    path = _rows_csv(tmp_path, azimuth=azimuth)
+    cause = f"azimuth_deg must be an integer in [-90, 90], got {azimuth!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 3: {re.escape(cause)}$"):
+        read_rows_csv(path)
+
+
+def test_rows_csv_cell_that_is_not_a_number_is_named_with_the_line(tmp_path):
+    assert read_rows_csv(_rows_csv(tmp_path))[1].azimuth_deg == 30
+    path = _rows_csv(tmp_path, ssr="abc")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 3: ssr_db cell 'abc' is not a number$"):
+        read_rows_csv(path)
+
+
+def test_rows_csv_with_a_wrong_header_or_no_rows_is_named(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("track_id,stem\nt1,vocals\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} is not a metrics CSV \(header \['track_id', 'stem'\]\)$"):
+        read_rows_csv(path)
+    write_rows_csv([], path)
+    with pytest.raises(ValueError, match=f"^no rows in {re.escape(str(path))}$"):
+        read_rows_csv(path)
 
 
 def test_aggregate_medians_sort_oracle(rng):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,15 +22,13 @@ def test_grid_is_19_angles():
 
 
 def test_pair_validation():
-    with pytest.raises(ValueError):
-        HrirPair(45, np.zeros(8), np.zeros(8), 44100)  # off-grid
-    with pytest.raises(ValueError):
-        HrirPair(40, np.zeros(8), np.zeros(4), 44100)  # unequal lengths
+    with pytest.raises(ValueError, match="share a length"):
+        HrirPair(np.zeros(8), np.zeros(4), 44100)  # unequal lengths
 
 
 def test_pair_rejects_non_integer_rate():
     with pytest.raises(ValueError, match="positive integer, got 44100.5"):
-        HrirPair(0, np.ones(8), np.ones(8), 44100.5)
+        HrirPair(np.ones(8), np.ones(8), 44100.5)
 
 
 def test_database_requires_full_grid(sphere_db):
@@ -39,10 +38,22 @@ def test_database_requires_full_grid(sphere_db):
         HrirDatabase("partial", entries)
 
 
+def test_database_rejects_an_off_grid_angle(sphere_db):
+    entries = dict(sphere_db.entries)
+    entries[45] = sphere_db[40]
+    with pytest.raises(ValueError, match=r"off-grid angles \[45\]"):
+        HrirDatabase("extra", entries)
+
+
+def test_missing_directory_is_named(tmp_path):
+    with pytest.raises(FileNotFoundError, match=f"HRIR directory not found: {re.escape(str(tmp_path / 'nope'))}$"):
+        load_hrir_database(tmp_path / "nope")
+
+
 def test_save_load_roundtrip(tmp_path, sphere_db):
     save_hrir_database(sphere_db, tmp_path / "db")
     loaded = load_hrir_database(tmp_path / "db")
-    assert len(loaded) == 19
+    assert sorted(loaded.entries) == list(GRID_DEGREES)
     for angle in GRID_DEGREES:
         assert np.allclose(loaded[angle].left, sphere_db[angle].left, atol=1e-7)
         assert np.allclose(loaded[angle].right, sphere_db[angle].right, atol=1e-7)
@@ -81,7 +92,7 @@ def test_index_json_mapping(tmp_path, sphere_db):
         mapping[str(angle)] = name
     (d / "index.json").write_text(json.dumps({"subject_id": "D1", "files": mapping}))
     loaded = load_hrir_database(d)
-    assert len(loaded) == 19
+    assert sorted(loaded.entries) == list(GRID_DEGREES)
     assert loaded.subject_id == "D1"
     assert np.allclose(loaded[-30].left, sphere_db[-30].left, atol=1e-7)
     (d / "index.json").write_text(json.dumps({"files": mapping}))
@@ -123,3 +134,20 @@ def test_sphere_too_short_for_the_far_ear_is_named(ir_length):
     with pytest.raises(ValueError, match=rf"^ir_length must be at least 35 for azimuth -90, got {ir_length}$"):
         spherical_head_database(ir_length=ir_length)
     assert np.flatnonzero(spherical_head_database(ir_length=35)[-90].left)[-1] == 34  # the pulse ends on the last tap
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"files": [1]}', "files must map azimuths to file names, got list"),
+        ('{"files": {"0": 5}}', "file for azimuth '0' must be a file name, got 5"),
+    ],
+)
+def test_bad_index_json_is_named(tmp_path, sphere_db, text, cause):
+    save_hrir_database(sphere_db, tmp_path / "db")
+    index = tmp_path / "db" / "index.json"
+    index.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(index))}: {re.escape(cause)}"):
+        load_hrir_database(tmp_path / "db")

@@ -53,7 +53,7 @@ def test_binauralize_impulse_reproduces_hrir(sphere_db):
 def test_binauralize_delta_hrir_duplicates_signal(rng):
     delta = np.zeros(32)
     delta[0] = 1.0
-    pair = HrirPair(0, delta, delta, 44100)
+    pair = HrirPair(delta, delta, 44100)
     x = rng.normal(size=400) * 0.2
     out = binauralize(AudioBuffer(x, 44100), pair)
     assert np.allclose(out.left[:400], x, atol=1e-12)
@@ -74,7 +74,7 @@ def test_binauralize_equals_per_ear_direct_convolution(rng, ir_length):
 @pytest.mark.parametrize("taps", [1, 128, 1024])
 def test_binauralize_equals_two_convolutions_in_turn(rng, taps):
     # 200_003 samples take four passes of FFT blocks at every tap count.
-    pair = HrirPair(30, rng.normal(size=taps), rng.normal(size=taps), 44100)
+    pair = HrirPair(rng.normal(size=taps), rng.normal(size=taps), 44100)
     for n in (1, 5000, 200_003):
         x = rng.normal(size=n)
         out = binauralize(AudioBuffer(x, 44100), pair)
@@ -82,7 +82,7 @@ def test_binauralize_equals_two_convolutions_in_turn(rng, taps):
 
 
 def test_binauralize_right_ear_failure_propagates(rng, monkeypatch):
-    pair = HrirPair(0, rng.normal(size=64), rng.normal(size=64), 44100)
+    pair = HrirPair(rng.normal(size=64), rng.normal(size=64), 44100)
 
     def convolve(signal, kernel, out=None):
         if kernel is pair.right:
@@ -322,4 +322,15 @@ def test_manifest_that_is_not_json_is_named_with_the_file(tmp_path):
     path = tmp_path / "layout.json"
     path.write_text("{not json")
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: manifest is not valid JSON"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("angle", [30.7, -200, 91, "left", True, None])
+def test_manifest_azimuth_off_the_integer_range_is_named_with_the_file(tmp_path, angle):
+    path = tmp_path / "layout.json"
+    _manifest().write(path)
+    data = json.loads(path.read_text())
+    data["stems"]["drums"]["azimuth_deg"] = angle
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: drums: azimuth_deg must be an integer in \[-90, 90\], got {re.escape(repr(angle))}$"):
         read_manifest(path)

@@ -40,7 +40,7 @@ def test_binaural_render_holds_its_output_and_fixed_blocks():
     # the ears are written in place, not stacked from copies.
     rng = np.random.default_rng(4)
     x = rng.normal(size=60 * 44100)
-    pair = HrirPair(0, rng.normal(size=1024), rng.normal(size=1024), 44100)
+    pair = HrirPair(rng.normal(size=1024), rng.normal(size=1024), 44100)
     mono = AudioBuffer(x, 44100)
     tracemalloc.start()
     try:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,13 @@ from auricle import (
     evaluate_track,
     read_wav,
     sample_layout,
+    save_hrir_database,
     signal_itd,
     synthesize_dataset,
     synthesize_track,
     write_wav,
 )
+from auricle.cli import run_cli
 from auricle.scene import STEM_NAMES
 
 from helpers import make_song_dir
@@ -81,13 +85,48 @@ def test_synthesize_dataset_splits(tmp_path, sphere_db, rng):
     assert (tmp_path / "out" / "train" / "tr1" / "mixture.wav").exists()
     assert (tmp_path / "out" / "test" / "te1" / "mixture.wav").exists()
 
-    only_test = synthesize_dataset(tmp_path / "data", sphere_db, tmp_path / "out2", 5, split="test")
+    only_test = synthesize_dataset(tmp_path / "data" / "test", sphere_db, tmp_path / "out2" / "test", 5)
     assert [m.song_id for m in only_test] == ["te1"]
+    assert _tree_bytes(tmp_path / "out2" / "test") == _tree_bytes(tmp_path / "out" / "test")
 
     with pytest.raises(FileNotFoundError):
         synthesize_dataset(tmp_path / "empty", sphere_db, tmp_path / "out3", 5)
-    with pytest.raises(ValueError):
-        synthesize_dataset(tmp_path / "data", sphere_db, tmp_path / "out4", 5, split="validation")
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_synthesize_skips_a_directory_without_stems(tmp_path, sphere_db, rng):
+    make_song_dir(tmp_path / "data" / "test", "te1", rng, seconds=0.8)
+    (tmp_path / "data" / "test" / "notes").mkdir()
+    (tmp_path / "data" / "test" / "notes" / "readme.txt").write_text("not a song")
+    (tmp_path / "data" / "test" / "empty").mkdir()
+    manifests = synthesize_dataset(tmp_path / "data", sphere_db, tmp_path / "out", 5)
+    assert [m.song_id for m in manifests] == ["te1"]
+    assert sorted(p.name for p in (tmp_path / "out" / "test").iterdir()) == ["te1"]
+
+
+def test_song_lacking_a_stem_fails_before_any_file_is_written(tmp_path, sphere_db, rng):
+    for name in ("a_full", "b_partial"):
+        make_song_dir(tmp_path / "data" / "test", name, rng, seconds=0.8)
+    (tmp_path / "data" / "test" / "b_partial" / "drums.wav").unlink()
+    with pytest.raises(FileNotFoundError, match=r"b_partial lacks stems \['drums'\]"):
+        synthesize_dataset(tmp_path / "data", sphere_db, tmp_path / "out", 5)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("inside", [".", "binaural", "test/binaural"])
+def test_output_inside_the_dataset_is_refused_and_the_sources_kept(tmp_path, sphere_db, rng, inside):
+    save_hrir_database(sphere_db, tmp_path / "hrir")
+    make_song_dir(tmp_path / "data" / "test", "te1", rng, seconds=0.8)
+    before = _tree_bytes(tmp_path / "data")
+    out = tmp_path / "data" / inside
+    argv = ["synthesize", "--musdb", tmp_path / "data", "--hrir", tmp_path / "hrir", "--out", out, "--seed", "5"]
+    with pytest.raises(ValueError, match=f"output root {re.escape(str(out))} lies inside the dataset root {re.escape(str(tmp_path / 'data'))}"):
+        synthesize_dataset(tmp_path / "data", sphere_db, out, 5)
+    assert run_cli([str(a) for a in argv]) == 1
+    assert _tree_bytes(tmp_path / "data") == before
 
 
 def test_per_song_seeds_differ_between_songs(tmp_path, sphere_db, rng):
