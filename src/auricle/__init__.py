@@ -12,7 +12,6 @@ from .evaluate import MetricRow, evaluate_track, evaluate_tree, read_rows_csv, w
 from .hrir import (
     GRID_DEGREES,
     HrirDatabase,
-    HrirPair,
     load_hrir_database,
     save_hrir_database,
     spherical_head_database,

@@ -102,10 +102,13 @@ def evaluate_tree(
 
     Tracks run independently (optionally in ``jobs`` worker processes) and the
     rows are merged in sorted track order, so the output is deterministic
-    regardless of scheduling.
+    regardless of scheduling. ``est_root`` may equal ``ref_root`` but not lie
+    inside it, where the walk would take the estimates for reference tracks.
     """
     ref_root = Path(ref_root)
     est_root = Path(est_root)
+    if ref_root.resolve() in est_root.resolve().parents:
+        raise ValueError(f"estimate root {est_root} lies inside the reference root {ref_root}")
     tracks = discover_tracks(ref_root)
     args = ([ref_root / t for t in tracks], [est_root / t for t in tracks], repeat(cfg))
 

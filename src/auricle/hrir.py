@@ -9,6 +9,7 @@ arbitrary filenames instead.
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from .audio import AudioBuffer, read_wav, write_wav
 
 __all__ = [
     "GRID_DEGREES",
-    "HrirPair",
     "HrirDatabase",
     "load_hrir_database",
     "save_hrir_database",
@@ -31,32 +31,8 @@ _FILE_NAME = "azi_{}_ele_0.wav"  # default per-angle file name
 
 
 @dataclass
-class HrirPair:
-    """Left/right impulse responses for one source direction; the database key is its azimuth."""
-
-    left: np.ndarray
-    right: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        self.left = np.asarray(self.left, dtype=np.float64)
-        self.right = np.asarray(self.right, dtype=np.float64)
-        if self.left.ndim != 1 or self.right.ndim != 1:
-            raise ValueError("impulse responses must be 1-D")
-        if self.left.size != self.right.size or self.left.size < 1:
-            raise ValueError("left and right responses must share a length >= 1")
-        if not isinstance(self.sample_rate, (int, np.integer)) or self.sample_rate <= 0:
-            raise ValueError(f"sample rate must be a positive integer, got {self.sample_rate!r}")
-        self.sample_rate = int(self.sample_rate)
-
-    @property
-    def length(self) -> int:
-        return self.left.size
-
-
-@dataclass
 class HrirDatabase:
-    """Complete set of HrirPairs, one per grid angle."""
+    """One stereo AudioBuffer (left, right) per grid angle, all of one length and rate."""
 
     subject_id: str
     entries: dict
@@ -68,8 +44,16 @@ class HrirDatabase:
         extra = [a for a in self.entries if a not in GRID_DEGREES]
         if extra:
             raise ValueError(f"HRIR database has off-grid angles {extra}")
+        not_stereo = [a for a in GRID_DEGREES if self.entries[a].num_channels != 2]
+        if not_stereo:
+            raise ValueError(f"HRIRs for azimuths {not_stereo} are not stereo")
+        shapes = {a: (h.num_samples, h.sample_rate) for a, h in sorted(self.entries.items())}
+        (taps, rate), _ = Counter(shapes.values()).most_common(1)[0]
+        odd = ", ".join(f"{a} has {n} taps at {r} Hz" for a, (n, r) in shapes.items() if (n, r) != (taps, rate))
+        if odd:
+            raise ValueError(f"HRIR set mixes lengths or rates: most azimuths have {taps} taps at {rate} Hz, but {odd}")
 
-    def __getitem__(self, azimuth: int) -> HrirPair:
+    def __getitem__(self, azimuth: int) -> AudioBuffer:
         return self.entries[azimuth]
 
     @property
@@ -106,14 +90,18 @@ def _read_index(directory: Path) -> tuple[str, dict]:
         if not isinstance(name, str) or not name:
             raise ValueError(f"{index}: file for azimuth {key!r} must be a file name, got {name!r}")
         files[angle] = directory / name
+    missing = [a for a in GRID_DEGREES if a not in files]
+    if missing:
+        raise ValueError(f"{index}: no file for azimuths {missing}")
     return subject, files
 
 
 def load_hrir_database(directory) -> HrirDatabase:
     """Load all 19 grid angles from ``directory``.
 
-    Every file must be a stereo WAV at ``SAMPLE_RATE``; a missing angle,
-    a mono file, or a rate mismatch is a hard error naming the angle. The
+    Every file must be a stereo WAV at ``SAMPLE_RATE``, all of one length;
+    a missing angle, a rate mismatch or a file unlike the rest is a hard
+    error naming the angle (``HrirDatabase`` checks the set). The
     subject is ``index.json``'s ``subject_id`` if given, else the
     directory's name.
     """
@@ -124,18 +112,15 @@ def load_hrir_database(directory) -> HrirDatabase:
 
     entries = {}
     for angle in GRID_DEGREES:
-        path = files.get(angle)
-        if path is None or not path.exists():
+        path = files[angle]
+        if not path.exists():
             raise FileNotFoundError(f"HRIR for azimuth {angle} missing (expected {path})")
-        buf = read_wav(path)
-        if buf.num_channels != 2:
-            raise ValueError(f"HRIR {path} for azimuth {angle} is not stereo")
+        entries[angle] = buf = read_wav(path)
         if buf.sample_rate != SAMPLE_RATE:
             raise ValueError(
                 f"sample-rate mismatch for azimuth {angle}: "
                 f"{path} is {buf.sample_rate} Hz, expected {SAMPLE_RATE}"
             )
-        entries[angle] = HrirPair(buf.left, buf.right, buf.sample_rate)
     return HrirDatabase(subject, entries)
 
 
@@ -147,9 +132,7 @@ def save_hrir_database(db: HrirDatabase, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for angle in GRID_DEGREES:
-        pair = db[angle]
-        buf = AudioBuffer(np.stack([pair.left, pair.right]), pair.sample_rate)
-        write_wav(directory / _FILE_NAME.format(angle), buf)
+        write_wav(directory / _FILE_NAME.format(angle), db[angle])
 
 
 def spherical_head_database(ir_length: int = 128) -> HrirDatabase:
@@ -175,13 +158,9 @@ def spherical_head_database(ir_length: int = 128) -> HrirDatabase:
             raise ValueError(f"ir_length must be at least {delay + pulse.size} for azimuth {angle}, got {ir_length}")
         shadow = 10.0 ** (-max_shadow_db * math.sin(theta) / 20.0)
 
-        near = np.zeros(ir_length)
-        far = np.zeros(ir_length)
-        near[: pulse.size] = pulse
-        far[delay : delay + pulse.size] = pulse * shadow
-        if angle >= 0:  # +azimuth is to the left: left ear is the near ear
-            left, right = near, far
-        else:
-            left, right = far, near
-        entries[angle] = HrirPair(left, right, SAMPLE_RATE)
+        near, far = (0, 1) if angle >= 0 else (1, 0)  # +azimuth is to the left: left ear is the near ear
+        ears = np.zeros((2, ir_length))
+        ears[near, : pulse.size] = pulse
+        ears[far, delay : delay + pulse.size] = pulse * shadow
+        entries[angle] = AudioBuffer(ears, SAMPLE_RATE)
     return HrirDatabase("sphere", entries)

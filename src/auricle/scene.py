@@ -17,7 +17,7 @@ import numpy as np
 
 from .audio import AudioBuffer, read_wav, write_wav
 from .dsp import fft_convolve
-from .hrir import GRID_DEGREES, HrirDatabase, HrirPair
+from .hrir import GRID_DEGREES, HrirDatabase
 
 __all__ = [
     "STEM_NAMES",
@@ -156,24 +156,26 @@ def downmix_mono(stereo: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(mono, stereo.sample_rate)
 
 
-def binauralize(mono: AudioBuffer, pair: HrirPair) -> AudioBuffer:
-    """Render a mono signal at the HRIR's direction; output is N + L - 1 long.
+def binauralize(mono: AudioBuffer, hrir: AudioBuffer) -> AudioBuffer:
+    """Render a mono signal through a stereo (left, right) HRIR; output is N + L - 1 long.
 
     The ears are convolved at once, the right on a worker thread (FFTs release
     the GIL), each into its own row: the bits of two calls in turn.
     """
     if mono.num_channels != 1:
         raise ValueError("binauralize expects a mono buffer")
-    if mono.sample_rate != pair.sample_rate:
+    if hrir.num_channels != 2:
+        raise ValueError(f"binauralize expects a stereo HRIR, got {hrir.num_channels} channels")
+    if mono.sample_rate != hrir.sample_rate:
         raise ValueError(
-            f"sample-rate mismatch: signal {mono.sample_rate} Hz vs HRIR {pair.sample_rate} Hz"
+            f"sample-rate mismatch: signal {mono.sample_rate} Hz vs HRIR {hrir.sample_rate} Hz"
         )
     x = mono.samples[0]
-    out = np.empty((2, x.size + pair.length - 1))
+    out = np.empty((2, x.size + hrir.num_samples - 1))
     # A pool per call: a long-lived worker thread would not survive a fork.
     with ThreadPoolExecutor(max_workers=1) as ear:
-        right = ear.submit(fft_convolve, x, pair.right, out[1])
-        fft_convolve(x, pair.left, out[0])
+        right = ear.submit(fft_convolve, x, hrir.right, out[1])
+        fft_convolve(x, hrir.left, out[0])
         right.result()
     return AudioBuffer(out, mono.sample_rate)
 

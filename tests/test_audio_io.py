@@ -63,6 +63,11 @@ def test_buffer_invariants():
         AudioBuffer(np.array([0.0, np.inf]), 44100)
 
 
+def test_buffer_rejects_non_integer_rate():
+    with pytest.raises(ValueError, match="positive integer, got 44100.5"):
+        AudioBuffer(np.ones(8), 44100.5)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("index", [0, 500, -1])
 def test_buffer_rejects_every_non_finite_sample(value, index):

@@ -22,6 +22,7 @@ from auricle import (
     write_rows_csv,
     write_wav,
 )
+from auricle.cli import run_cli
 from auricle.evaluate import METRIC_FIELDS, MetricRow, discover_tracks, evaluate_tree
 from auricle.metrics import NEG_DB_CLAMP
 from auricle.report import ANGLE_BIN_EDGES, _bin_index
@@ -164,6 +165,24 @@ def test_incomplete_reference_track_rejected_before_scoring(tmp_path, monkeypatc
     with pytest.raises(FileNotFoundError, match=r"b_partial lacks stems \['bass', 'drums', 'other'\]"):
         evaluate_tree(ref, ref)
     assert scored == []
+
+
+def test_estimate_tree_inside_the_reference_is_refused_before_reading(tmp_path, monkeypatch):
+    rng = np.random.default_rng(6)
+    ref = tmp_path / "ref"
+    for root in (ref, ref / "est", tmp_path / "ref-est"):
+        make_song_dir(root / "test", "te1", rng, seconds=0.5)
+    scored = []
+    monkeypatch.setattr("auricle.evaluate.evaluate_track", lambda *args: scored.append(args) or [])
+    est = ref / "est"
+    with pytest.raises(ValueError, match=f"^estimate root {re.escape(str(est))} lies inside the reference root {re.escape(str(ref))}$"):
+        evaluate_tree(ref, est)
+    argv = ["evaluate", "--reference", ref, "--estimates", est, "--out", tmp_path / "rows.csv"]
+    assert run_cli([str(a) for a in argv]) == 1
+    assert scored == [] and not (tmp_path / "rows.csv").exists()
+    # equal roots and a sibling whose name extends the reference's are not nested
+    assert evaluate_tree(ref / "est", ref / "est") == evaluate_tree(ref / "est", tmp_path / "ref-est") == []
+    assert len(scored) == 2
 
 
 def test_discover_tracks_names_a_missing_root_and_an_empty_tree(tmp_path):

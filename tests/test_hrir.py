@@ -8,27 +8,19 @@ from auricle import (
     GRID_DEGREES,
     AudioBuffer,
     HrirDatabase,
-    HrirPair,
     load_hrir_database,
     save_hrir_database,
     spherical_head_database,
     write_wav,
 )
+from auricle.cli import run_cli
+
+from helpers import make_song_dir
 
 
 def test_grid_is_19_angles():
     assert len(GRID_DEGREES) == 19
     assert GRID_DEGREES[0] == -90 and GRID_DEGREES[-1] == 90
-
-
-def test_pair_validation():
-    with pytest.raises(ValueError, match="share a length"):
-        HrirPair(np.zeros(8), np.zeros(4), 44100)  # unequal lengths
-
-
-def test_pair_rejects_non_integer_rate():
-    with pytest.raises(ValueError, match="positive integer, got 44100.5"):
-        HrirPair(np.ones(8), np.ones(8), 44100.5)
 
 
 def test_database_requires_full_grid(sphere_db):
@@ -43,6 +35,40 @@ def test_database_rejects_an_off_grid_angle(sphere_db):
     entries[45] = sphere_db[40]
     with pytest.raises(ValueError, match=r"off-grid angles \[45\]"):
         HrirDatabase("extra", entries)
+
+
+@pytest.mark.parametrize(
+    "channels, taps, rate, cause",
+    [
+        (2, 192, 44100, "HRIR set mixes lengths or rates: most azimuths have 128 taps at 44100 Hz, but 40 has 192 taps at 44100 Hz"),
+        (2, 128, 48000, "HRIR set mixes lengths or rates: most azimuths have 128 taps at 44100 Hz, but 40 has 128 taps at 48000 Hz"),
+        (1, 128, 44100, "HRIRs for azimuths [40] are not stereo"),
+    ],
+    ids=["taps", "rate", "mono"],
+)
+def test_database_names_the_angle_unlike_the_set(sphere_db, channels, taps, rate, cause):
+    entries = dict(sphere_db.entries)
+    entries[40] = AudioBuffer(np.full((channels, taps), 0.1), rate)
+    with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
+        HrirDatabase("mixed", entries)
+
+
+def test_database_names_every_angle_that_is_not_stereo(sphere_db):
+    entries = dict(sphere_db.entries)
+    entries[40] = AudioBuffer(sphere_db[40].left, 44100)
+    entries[-90] = AudioBuffer(np.full((3, 128), 0.1), 44100)
+    with pytest.raises(ValueError, match=r"^HRIRs for azimuths \[-90, 40\] are not stereo$"):
+        HrirDatabase("mono", entries)
+
+
+def test_synthesize_refuses_a_mixed_set_before_writing(tmp_path, sphere_db, rng, capsys):
+    save_hrir_database(sphere_db, tmp_path / "hrir")
+    write_wav(tmp_path / "hrir" / "azi_40_ele_0.wav", AudioBuffer(np.full((2, 192), 0.1), 44100))
+    make_song_dir(tmp_path / "musdb" / "test", "te1", rng, seconds=0.5)
+    argv = ["synthesize", "--musdb", tmp_path / "musdb", "--hrir", tmp_path / "hrir", "--out", tmp_path / "out", "--seed", 1]
+    assert run_cli([str(a) for a in argv]) == 1
+    assert "but 40 has 192 taps at 44100 Hz" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_directory_is_named(tmp_path):
@@ -86,9 +112,8 @@ def test_index_json_mapping(tmp_path, sphere_db):
     d.mkdir()
     mapping = {}
     for angle in GRID_DEGREES:
-        pair = sphere_db[angle]
         name = f"ku100_{angle + 90:03d}.wav"
-        write_wav(d / name, AudioBuffer(np.stack([pair.left, pair.right]), 44100))
+        write_wav(d / name, sphere_db[angle])
         mapping[str(angle)] = name
     (d / "index.json").write_text(json.dumps({"subject_id": "D1", "files": mapping}))
     loaded = load_hrir_database(d)
@@ -143,6 +168,8 @@ def test_sphere_too_short_for_the_far_ear_is_named(ir_length):
         ("[1, 2]", "expected a JSON object, got list"),
         ('{"files": [1]}', "files must map azimuths to file names, got list"),
         ('{"files": {"0": 5}}', "file for azimuth '0' must be a file name, got 5"),
+        ('{"subject_id": "D1"}', f"no file for azimuths {list(GRID_DEGREES)}"),
+        ('{"files": {"0": "azi_0_ele_0.wav"}}', f"no file for azimuths {[a for a in GRID_DEGREES if a]}"),
     ],
 )
 def test_bad_index_json_is_named(tmp_path, sphere_db, text, cause):

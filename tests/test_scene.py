@@ -24,7 +24,7 @@ from auricle import (
     synthesize_track,
     write_wav,
 )
-from auricle.hrir import GRID_DEGREES, HrirPair
+from auricle.hrir import GRID_DEGREES
 
 from helpers import make_song_dir, noise_buffer
 
@@ -45,15 +45,14 @@ def test_binauralize_impulse_reproduces_hrir(sphere_db):
     impulse = np.zeros(64)
     impulse[0] = 1.0
     out = binauralize(AudioBuffer(impulse, 44100), sphere_db[30])
-    assert out.num_samples == 64 + sphere_db[30].length - 1
-    assert np.allclose(out.left[: sphere_db[30].length], sphere_db[30].left, atol=1e-12)
-    assert np.allclose(out.right[: sphere_db[30].length], sphere_db[30].right, atol=1e-12)
+    assert out.num_samples == 64 + sphere_db[30].num_samples - 1
+    assert np.allclose(out.samples[:, : sphere_db[30].num_samples], sphere_db[30].samples, atol=1e-12)
 
 
 def test_binauralize_delta_hrir_duplicates_signal(rng):
     delta = np.zeros(32)
     delta[0] = 1.0
-    pair = HrirPair(delta, delta, 44100)
+    pair = AudioBuffer(np.stack([delta, delta]), 44100)
     x = rng.normal(size=400) * 0.2
     out = binauralize(AudioBuffer(x, 44100), pair)
     assert np.allclose(out.left[:400], x, atol=1e-12)
@@ -74,18 +73,25 @@ def test_binauralize_equals_per_ear_direct_convolution(rng, ir_length):
 @pytest.mark.parametrize("taps", [1, 128, 1024])
 def test_binauralize_equals_two_convolutions_in_turn(rng, taps):
     # 200_003 samples take four passes of FFT blocks at every tap count.
-    pair = HrirPair(rng.normal(size=taps), rng.normal(size=taps), 44100)
+    pair = AudioBuffer(rng.normal(size=(2, taps)), 44100)
     for n in (1, 5000, 200_003):
         x = rng.normal(size=n)
         out = binauralize(AudioBuffer(x, 44100), pair)
         assert np.array_equal(out.samples, np.stack([fft_convolve(x, pair.left), fft_convolve(x, pair.right)]))
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+def test_binauralize_rejects_an_hrir_that_is_not_stereo(rng, channels):
+    hrir = AudioBuffer(rng.normal(size=(channels, 64)), 44100)
+    with pytest.raises(ValueError, match=f"^binauralize expects a stereo HRIR, got {channels} channels$"):
+        binauralize(AudioBuffer(rng.normal(size=1000), 44100), hrir)
+
+
 def test_binauralize_right_ear_failure_propagates(rng, monkeypatch):
-    pair = HrirPair(rng.normal(size=64), rng.normal(size=64), 44100)
+    pair = AudioBuffer(rng.normal(size=(2, 64)), 44100)
 
     def convolve(signal, kernel, out=None):
-        if kernel is pair.right:
+        if np.shares_memory(kernel, pair.samples[1]):
             raise RuntimeError("right ear failed")
         return fft_convolve(signal, kernel, out)
 

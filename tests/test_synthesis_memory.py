@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import auricle
-from auricle import AudioBuffer, HrirPair, binauralize, fft_convolve
+from auricle import AudioBuffer, binauralize, fft_convolve
 
 
 def test_convolution_holds_its_output_and_fixed_blocks():
@@ -40,7 +40,7 @@ def test_binaural_render_holds_its_output_and_fixed_blocks():
     # the ears are written in place, not stacked from copies.
     rng = np.random.default_rng(4)
     x = rng.normal(size=60 * 44100)
-    pair = HrirPair(rng.normal(size=1024), rng.normal(size=1024), 44100)
+    pair = AudioBuffer(rng.normal(size=(2, 1024)), 44100)
     mono = AudioBuffer(x, 44100)
     tracemalloc.start()
     try:
