@@ -163,8 +163,6 @@ def write_wav(path, buffer: AudioBuffer, encoding: str = "float32") -> None:
     """
     if not isinstance(buffer, AudioBuffer):
         raise TypeError("write_wav expects an AudioBuffer")
-    if buffer.num_samples == 0:
-        raise ValueError("refusing to write an empty buffer")
     samples = buffer.samples
     channels, frames = samples.shape
 

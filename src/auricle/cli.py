@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     syn = sub.add_parser("synthesize", help="binauralize a stem dataset tree")
     syn.add_argument("--musdb", required=True, help="stem tree; every directory holding the four stems is a song")
-    syn.add_argument("--hrir", required=True, help="HRIR directory (azi_<deg>_ele_0.wav files or index.json)")
+    syn.add_argument("--hrir", required=True, help="HRIR directory of azi_<deg>_ele_0.wav files")
     syn.add_argument("--out", required=True, help="output root outside --musdb; mirrors the input layout")
     syn.add_argument("--seed", required=True, type=int, help="master seed for source placement")
     syn.add_argument("--encoding", choices=["float32", "pcm16"], default="float32")
@@ -128,3 +128,7 @@ def run_cli(argv) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

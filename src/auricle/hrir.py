@@ -2,12 +2,11 @@
 
 The database covers the frontal half of the horizontal plane on a 10-degree
 grid, azimuth -90..+90 with +90 on the listener's far left, elevation fixed
-at 0. On disk each angle is one stereo WAV named ``azi_<deg>_ele_0.wav``
-(e.g. ``azi_-30_ele_0.wav``); an optional ``index.json`` can map angles to
-arbitrary filenames instead.
+at 0. On disk a set is a directory named after its subject, with one stereo
+WAV per angle named ``azi_<deg>_ele_0.wav`` (e.g. ``azi_-30_ele_0.wav``);
+``save_hrir_database`` converts a measured set into that layout.
 """
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ __all__ = [
 
 GRID_DEGREES = tuple(range(-90, 91, 10))
 SAMPLE_RATE = 44100
-_FILE_NAME = "azi_{}_ele_0.wav"  # default per-angle file name
+_FILE_NAME = "azi_{}_ele_0.wav"  # the per-angle file name
 
 
 @dataclass
@@ -61,58 +60,24 @@ class HrirDatabase:
         return self.entries[0].sample_rate
 
 
-def _read_index(directory: Path) -> tuple[str, dict]:
-    """Subject name and per-angle file paths; ``index.json`` overrides both defaults."""
-    index = directory / "index.json"
-    if not index.exists():
-        return directory.name, {a: directory / _FILE_NAME.format(a) for a in GRID_DEGREES}
-    with open(index) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{index}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"{index}: expected a JSON object, got {type(raw).__name__}")
-    subject = raw.pop("subject_id", directory.name)
-    if not isinstance(subject, str) or not subject:
-        raise ValueError(f"{index}: subject_id must be a non-empty string, got {subject!r}")
-    mapping = raw.get("files", raw)
-    if not isinstance(mapping, dict):
-        raise ValueError(f"{index}: files must map azimuths to file names, got {type(mapping).__name__}")
-    files = {}
-    for key, name in mapping.items():
-        try:
-            angle = int(key)
-        except ValueError:
-            angle = None
-        if angle not in GRID_DEGREES:
-            raise ValueError(f"{index}: key {key!r} is not a grid azimuth in [-90, 90]")
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"{index}: file for azimuth {key!r} must be a file name, got {name!r}")
-        files[angle] = directory / name
-    missing = [a for a in GRID_DEGREES if a not in files]
-    if missing:
-        raise ValueError(f"{index}: no file for azimuths {missing}")
-    return subject, files
-
-
 def load_hrir_database(directory) -> HrirDatabase:
-    """Load all 19 grid angles from ``directory``.
+    """Load all 19 grid angles from ``directory``, one ``azi_<deg>_ele_0.wav`` each.
 
     Every file must be a stereo WAV at ``SAMPLE_RATE``, all of one length;
     a missing angle, a rate mismatch or a file unlike the rest is a hard
-    error naming the angle (``HrirDatabase`` checks the set). The
-    subject is ``index.json``'s ``subject_id`` if given, else the
-    directory's name.
+    error naming the angle (``HrirDatabase`` checks the set). The subject
+    is the directory's name. A directory holding an ``index.json`` is refused.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"HRIR directory not found: {directory}")
-    subject, files = _read_index(directory)
+    index = directory / "index.json"
+    if index.exists():
+        raise ValueError(f"{index}: an angle-to-file index is not read; convert the set with save_hrir_database")
 
     entries = {}
     for angle in GRID_DEGREES:
-        path = files[angle]
+        path = directory / _FILE_NAME.format(angle)
         if not path.exists():
             raise FileNotFoundError(f"HRIR for azimuth {angle} missing (expected {path})")
         entries[angle] = buf = read_wav(path)
@@ -121,13 +86,14 @@ def load_hrir_database(directory) -> HrirDatabase:
                 f"sample-rate mismatch for azimuth {angle}: "
                 f"{path} is {buf.sample_rate} Hz, expected {SAMPLE_RATE}"
             )
-    return HrirDatabase(subject, entries)
+    return HrirDatabase(directory.name, entries)
 
 
 def save_hrir_database(db: HrirDatabase, directory) -> None:
     """Write ``db`` as float32 WAVs in the on-disk layout that load_hrir_database reads.
 
-    Useful for converting a downloaded HRIR set into this tool's layout.
+    To convert a measured set, build an ``HrirDatabase`` of its ``read_wav``
+    buffers and save it into a directory named after the subject.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

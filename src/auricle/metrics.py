@@ -264,7 +264,7 @@ def _check_comparable(reference: AudioBuffer, estimate: AudioBuffer):
             f"vs estimate {estimate.sample_rate} Hz"
         )
     if reference.num_channels != estimate.num_channels:
-        raise ValueError("reference and estimate channel counts differ")
+        raise ValueError(f"channel counts differ: reference {reference.num_channels} vs estimate {estimate.num_channels}")
 
 
 def align_pair(
@@ -491,7 +491,5 @@ def ssr_srr(
 
     if not ssr_frames:
         return MetricValue.undefined(), MetricValue.undefined()
-    return (
-        MetricValue.from_float(float(np.median(ssr_frames))),
-        MetricValue.from_float(float(np.median(srr_frames))),
-    )
+    with np.errstate(invalid="ignore"):  # middle frames of -inf and +inf have no median: undefined
+        return tuple(MetricValue.from_float(float(np.median(v))) for v in (ssr_frames, srr_frames))

@@ -11,9 +11,9 @@ rounded and independent of the host's BLAS, SIMD and thread count.
 Signals are lists of channels, each a list of Python floats.
 
 ``itd_votes`` is the full ITD vote: a plain loop in which every counted frame
-votes, with its own framing, gate, GCC-PHAT and lag pick. It is not exact:
-each frame's weight and correlation use the same numpy operations as the
-library, so they carry the library's bits.
+of ``itd_correlations`` votes, with its own framing, gate, GCC-PHAT and lag
+pick. It is not exact: each frame's weight and correlation use the same numpy
+operations as the library, so they carry the library's bits.
 """
 
 import math
@@ -146,22 +146,21 @@ def ssr_srr(ref, est, window, hop, max_delay, threshold):
     return _median(ssr_frames), _median(srr_frames), ambiguous
 
 
-def itd_votes(buf, cfg):
-    """Every counted ITD frame's vote, summed in time order: ``{lag: weight}``.
+def itd_correlations(buf, cfg):
+    """Every counted ITD frame's ``(weight, {lag: correlation})``, in time order.
 
     Frames of ``cfg.itd_frame_len`` seconds start every frame length from 0;
     the last one is zero-padded. A frame counts when its louder channel's RMS
-    over its real samples is at least ``cfg.silence_threshold``, and votes
-    that RMS for the lag within +-max_lag where the PHAT-weighted
-    cross-correlation of its Tukey-windowed channels peaks (the larger lag on
-    equal peaks; positive when the left channel leads).
+    over its real samples is at least ``cfg.silence_threshold``; that RMS is
+    its weight. The correlation at each lag within +-max_lag is the
+    PHAT-weighted cross-correlation of its Tukey-windowed channels (a lag is
+    positive when the left channel leads).
     """
     fs = buf.sample_rate
     n = int(round(cfg.itd_frame_len * fs))
     max_lag = int(math.floor(cfg.max_lag * fs))
     nfft = next_fast_len(2 * n)
     window = tukey(n, alpha=cfg.tukey_alpha, sym=False)
-    votes = {}
     for start in range(0, buf.samples.shape[1], n):
         real = buf.samples[:, start : start + n]
         weight = max(float(np.sqrt(np.mean(row**2))) for row in real)
@@ -172,7 +171,18 @@ def itd_votes(buf, cfg):
         cross /= np.maximum(np.abs(cross), 1e-15)
         cc = np.fft.irfft(cross, nfft)
         # A left lead of d samples peaks at correlation shift -d, index -d of cc.
-        lag = max(range(-max_lag, max_lag + 1), key=lambda d: (cc[-d], d))
+        yield weight, {d: cc[-d] for d in range(-max_lag, max_lag + 1)}
+
+
+def itd_votes(buf, cfg):
+    """Every counted ITD frame's vote, summed in time order: ``{lag: weight}``.
+
+    Each frame of ``itd_correlations`` votes its weight for the lag where its
+    correlation peaks (the larger lag on equal peaks).
+    """
+    votes = {}
+    for weight, corr in itd_correlations(buf, cfg):
+        lag = max(corr, key=lambda d: (corr[d], d))
         votes[lag] = votes.get(lag, 0.0) + weight
     return votes
 

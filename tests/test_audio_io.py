@@ -68,6 +68,20 @@ def test_buffer_rejects_non_integer_rate():
         AudioBuffer(np.ones(8), 44100.5)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: AudioBuffer(np.zeros((2, 3, 4)), 44100), ValueError, "samples must be a 1-D or 2-D array"),
+        (lambda: AudioBuffer(np.ones(8), 44100).right, ValueError, "buffer has no right channel"),
+        (lambda: write_wav("unwritten.wav", np.ones((2, 8))), TypeError, "write_wav expects an AudioBuffer"),
+    ],
+    ids=["3-d samples", "right of mono", "write a bare array"],
+)
+def test_buffer_and_writer_refusals_are_named(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("index", [0, 500, -1])
 def test_buffer_rejects_every_non_finite_sample(value, index):

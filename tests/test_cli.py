@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import auricle
 from auricle import MetricConfig, save_hrir_database, spherical_head_database
 from auricle.cli import run_cli
 
@@ -122,6 +127,19 @@ def test_error_paths_exit_nonzero(workspace, tmp_path, capsys):
 
     code = run_cli(["report", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r.csv")])
     assert code == 1
+
+
+def test_module_run_reaches_main(tmp_path):
+    # python -m auricle.cli must run the command, not import the module and exit 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(auricle.__file__).parents[1]), env.get("PYTHONPATH")]))
+    argv = ["synthesize", "--musdb", "nope", "--hrir", "nope", "--out", "x", "--seed", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "auricle.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+    assert not (tmp_path / "x").exists()
 
 
 def test_evaluate_rejects_a_nan_setting(tmp_path, capsys):

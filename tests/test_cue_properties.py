@@ -8,7 +8,7 @@ frames each carry their own lag and gain.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle_metrics as oracle
@@ -70,15 +70,17 @@ def test_deltas_symmetric_under_swap(ref, est, cfg):
 
 
 def _clear_of_gate(buf, cfg, k):
-    """Each ITD frame is exact silence, or every channel is above the gate at both scales.
+    """Every ITD frame the gate counts at either scale has each windowed channel above the gate at both scales.
 
-    Frame weights take the louder channel, so a counted frame may carry a
-    near-silent channel; its cross-spectrum then sits at the PHAT floor,
-    which does not scale, and the frame's lag can move with the gain.
+    Frame weights take the louder channel of the unwindowed samples, so a
+    counted frame may carry a near-silent channel, or one the window zeros;
+    its cross-spectrum then sits at the PHAT floor, which does not scale,
+    and the frame's lag can move with the gain.
     """
     for frame in frame_signal(buf, cfg.itd_frame_len, cfg.itd_frame_len, "tukey", cfg.tukey_alpha):
+        counted = frame.weight * max(1.0, 2.0**k) >= cfg.silence_threshold
         quietest = np.sqrt(np.mean(frame.samples**2, axis=1)).min() * min(1.0, 2.0**k)
-        if np.any(frame.samples) and quietest < cfg.silence_threshold:
+        if counted and quietest < cfg.silence_threshold:
             return False
     return True
 
@@ -99,6 +101,21 @@ def _swap(buf):
     return AudioBuffer(buf.samples[::-1].copy(), FS)
 
 
+def _peaks_are_clear(buf, cfg):
+    """Every counted ITD frame's correlation peaks at one lag, above every other by more than rounding.
+
+    Swapping the channels conjugates the cross-spectrum, which reverses the
+    correlation only to within rounding. A frame without such a peak, say one
+    whose channels each hold one sample, of opposite signs, at the same
+    place, picks its lag from the rounding, which need not flip.
+    """
+    for _, corr in oracle.itd_correlations(buf, cfg):
+        values = sorted(corr.values())
+        if values[-1] - values[-2] <= 1e-9 * max(-values[0], values[-1]):
+            return False
+    return True
+
+
 def _top_vote_is_a_plus_minus_tie(buf, cfg):
     """The heaviest ITD vote is shared by a lag and its negation; the tie rule picks the negative one."""
     votes = oracle.itd_votes(buf, cfg)
@@ -106,23 +123,45 @@ def _top_vote_is_a_plus_minus_tie(buf, cfg):
     return any(lag and votes.get(-lag) == top for lag, weight in votes.items() if weight == top)
 
 
+@st.composite
+def _pairs(draw):
+    """A reference and an estimate of the same length."""
+    ref = draw(signals)
+    return ref, draw(_signals(n=st.just(ref.num_samples)))
+
+
+# Only sample 0 of the right channel sounds; the window zeros it while the gate counts the frame.
+_WINDOWED_AWAY = _stereo(seed=0, n=100, lag=0, gains=(0.0, 1.0), silence=(1.0, 0.015625))
+# Only sample 164 sounds, with opposite signs in the two channels: the correlation has no peak.
+_ANTI_PHASE_CLICK = _stereo(seed=4278572, n=165, lag=20, gains=(0.900390625, 1.0), silence=(0.0, 0.99609375))
+# Two SSR frames, one with an SRR of +inf and one of -inf: their median has no value.
+_SRR_FRAMES_AT_BOTH_INFINITIES = (
+    _stereo(seed=0, n=22051, lag=0, gains=(0.0, 1.0), silence=(0.0, 0.5)),
+    _stereo(seed=0, n=22051, lag=0, gains=(0.0, 1.0), silence=(1.0, 0.25)),
+)
+
+
 @settings(max_examples=60, deadline=None)
-@given(ref=signals, data=st.data(), cfg=configs)
-def test_channel_swap_negates_cues_and_keeps_ratios(ref, data, cfg):
+@given(pair=_pairs(), cfg=configs)
+@example(pair=(_WINDOWED_AWAY, _WINDOWED_AWAY), cfg=MetricConfig(itd_frame_len=0.02))
+@example(pair=(_ANTI_PHASE_CLICK, _ANTI_PHASE_CLICK), cfg=MetricConfig(itd_frame_len=0.02))
+@example(pair=_SRR_FRAMES_AT_BOTH_INFINITIES, cfg=MetricConfig(itd_frame_len=0.02))
+def test_channel_swap_negates_cues_and_keeps_ratios(pair, cfg):
     """Channels are projected independently and their energies added commutatively,
     so SSR/SRR keep every bit; ITD and ILD change sign.
 
-    ITD is compared only where every counted frame has both channels above
-    the gate (a near-silent channel puts the cross-spectrum at the PHAT
-    floor, whose lag does not flip) and the heaviest vote is not shared by a
-    lag and its negation (the tie rule picks the negative one both times).
+    ITD is compared only where every counted frame has both windowed
+    channels above the gate (a near-silent channel puts the cross-spectrum at
+    the PHAT floor, whose lag does not flip) and a clear correlation peak,
+    and the heaviest vote is not shared by a lag and its negation (the tie
+    rule picks the negative one both times).
     """
-    est = data.draw(_signals(n=st.just(ref.num_samples)))
+    ref, est = pair
     assert [v.as_float().hex() for v in ssr_srr(_swap(ref), _swap(est), cfg)] == [
         v.as_float().hex() for v in ssr_srr(ref, est, cfg)
     ]
 
-    if _clear_of_gate(ref, cfg, 0) and not _top_vote_is_a_plus_minus_tie(ref, cfg):
+    if _clear_of_gate(ref, cfg, 0) and _peaks_are_clear(ref, cfg) and not _top_vote_is_a_plus_minus_tie(ref, cfg):
         lag = signal_itd_lag(ref, cfg)
         assert signal_itd_lag(_swap(ref), cfg) == (None if lag is None else -lag)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -103,6 +105,25 @@ def test_convolve_rejects_empty():
         fft_convolve([], [1.0])
     with pytest.raises(ValueError):
         fft_convolve([1.0], [])
+
+
+_ONES = AudioBuffer(np.ones((2, 1000)), 1000)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rms_weight(np.zeros((2, 0))), "cannot compute RMS of an empty block"),
+        (lambda: frame_signal(_ONES, 0.1, 0.1, window="hann"), "unknown window 'hann'; use 'tukey' or 'rectangular'"),
+        (lambda: frame_signal(_ONES, 0.001, 0.001), "frame of 0.001 s is under 2 samples at 1000 Hz"),
+        (lambda: frame_signal(_ONES, 0.1, 0.0004), "hop of 0.0004 s is under 1 sample at 1000 Hz"),
+        (lambda: fft_convolve(np.ones((2, 4)), np.ones(3)), "fft_convolve takes 1-D sequences"),
+    ],
+    ids=["empty rms block", "unknown window", "frame under 2 samples", "hop under 1 sample", "2-d convolve input"],
+)
+def test_dsp_refusals_are_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_convolve_out_rejects_wrong_arrays():

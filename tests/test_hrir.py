@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -9,6 +8,7 @@ from auricle import (
     AudioBuffer,
     HrirDatabase,
     load_hrir_database,
+    read_wav,
     save_hrir_database,
     spherical_head_database,
     write_wav,
@@ -79,6 +79,7 @@ def test_missing_directory_is_named(tmp_path):
 def test_save_load_roundtrip(tmp_path, sphere_db):
     save_hrir_database(sphere_db, tmp_path / "db")
     loaded = load_hrir_database(tmp_path / "db")
+    assert loaded.subject_id == "db"  # the directory names the set
     assert sorted(loaded.entries) == list(GRID_DEGREES)
     for angle in GRID_DEGREES:
         assert np.allclose(loaded[angle].left, sphere_db[angle].left, atol=1e-7)
@@ -107,39 +108,6 @@ def test_mono_file_rejected(tmp_path, sphere_db):
         load_hrir_database(tmp_path / "db")
 
 
-def test_index_json_mapping(tmp_path, sphere_db):
-    d = tmp_path / "db"
-    d.mkdir()
-    mapping = {}
-    for angle in GRID_DEGREES:
-        name = f"ku100_{angle + 90:03d}.wav"
-        write_wav(d / name, sphere_db[angle])
-        mapping[str(angle)] = name
-    (d / "index.json").write_text(json.dumps({"subject_id": "D1", "files": mapping}))
-    loaded = load_hrir_database(d)
-    assert sorted(loaded.entries) == list(GRID_DEGREES)
-    assert loaded.subject_id == "D1"
-    assert np.allclose(loaded[-30].left, sphere_db[-30].left, atol=1e-7)
-    (d / "index.json").write_text(json.dumps({"files": mapping}))
-    assert load_hrir_database(d).subject_id == "db"  # no subject_id: the directory names the set
-    for bad in ("", 7, None):
-        (d / "index.json").write_text(json.dumps({"subject_id": bad, "files": mapping}))
-        with pytest.raises(ValueError, match=r"index\.json: subject_id must be a non-empty string"):
-            load_hrir_database(d)
-
-
-def test_index_json_off_grid_key_named(tmp_path, sphere_db):
-    save_hrir_database(sphere_db, tmp_path / "db")
-    mapping = {str(a): f"azi_{a}_ele_0.wav" for a in GRID_DEGREES}
-    mapping["45"] = "azi_40_ele_0.wav"
-    (tmp_path / "db" / "index.json").write_text(json.dumps({"files": mapping}))
-    with pytest.raises(ValueError, match="'45'"):
-        load_hrir_database(tmp_path / "db")
-    (tmp_path / "db" / "index.json").write_text(json.dumps({"left": "azi_0_ele_0.wav"}))
-    with pytest.raises(ValueError, match="'left'"):
-        load_hrir_database(tmp_path / "db")
-
-
 def test_spherical_head_structure(sphere_db):
     center = sphere_db[0]
     assert np.array_equal(center.left, center.right)  # median plane symmetry
@@ -161,20 +129,36 @@ def test_sphere_too_short_for_the_far_ear_is_named(ir_length):
     assert np.flatnonzero(spherical_head_database(ir_length=35)[-90].left)[-1] == 34  # the pulse ends on the last tap
 
 
-@pytest.mark.parametrize(
-    "text, cause",
-    [
-        ("{not json", "not valid JSON"),
-        ("[1, 2]", "expected a JSON object, got list"),
-        ('{"files": [1]}', "files must map azimuths to file names, got list"),
-        ('{"files": {"0": 5}}', "file for azimuth '0' must be a file name, got 5"),
-        ('{"subject_id": "D1"}', f"no file for azimuths {list(GRID_DEGREES)}"),
-        ('{"files": {"0": "azi_0_ele_0.wav"}}', f"no file for azimuths {[a for a in GRID_DEGREES if a]}"),
-    ],
-)
-def test_bad_index_json_is_named(tmp_path, sphere_db, text, cause):
-    save_hrir_database(sphere_db, tmp_path / "db")
-    index = tmp_path / "db" / "index.json"
-    index.write_text(text)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(index))}: {re.escape(cause)}"):
-        load_hrir_database(tmp_path / "db")
+def test_readme_recipe_converts_a_measured_set(tmp_path, sphere_db):
+    source = {a: tmp_path / "download" / f"ku100_{a + 90:03d}.wav" for a in GRID_DEGREES}
+    for angle, path in source.items():
+        write_wav(path, sphere_db[angle])
+    # The conversion as README.md gives it
+    entries = {a: read_wav(source[a]) for a in GRID_DEGREES}
+    save_hrir_database(HrirDatabase("D1", entries), tmp_path / "hrir" / "D1")
+
+    loaded = load_hrir_database(tmp_path / "hrir" / "D1")
+    assert loaded.subject_id == "D1"
+    for angle in GRID_DEGREES:
+        assert (tmp_path / "hrir" / "D1" / f"azi_{angle}_ele_0.wav").read_bytes() == source[angle].read_bytes()
+        assert loaded[angle].samples.tobytes() == entries[angle].samples.tobytes()
+
+
+@pytest.mark.parametrize("wavs", [True, False], ids=["with-wavs", "index-only"])
+def test_a_leftover_index_json_is_refused_before_reading(tmp_path, sphere_db, rng, monkeypatch, capsys, wavs):
+    if wavs:
+        save_hrir_database(sphere_db, tmp_path / "hrir")
+    index = tmp_path / "hrir" / "index.json"
+    index.parent.mkdir(exist_ok=True)
+    index.write_text('{"0": "azi_0_ele_0.wav"}')
+    reads = []
+    monkeypatch.setattr("auricle.hrir.read_wav", lambda path: reads.append(path))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(index))}: an angle-to-file index is not read; "):
+        load_hrir_database(tmp_path / "hrir")
+    assert reads == []
+
+    make_song_dir(tmp_path / "musdb" / "test", "te1", rng, seconds=0.5)
+    argv = ["synthesize", "--musdb", tmp_path / "musdb", "--hrir", tmp_path / "hrir", "--out", tmp_path / "out", "--seed", 1]
+    assert run_cli([str(a) for a in argv]) == 1
+    assert f"error: {index}: an angle-to-file index is not read" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -270,3 +271,20 @@ def test_gcc_rejects_frame_shorter_than_two_lags(rng):
     frame = frame_signal(buf, 0.001, 0.001, window="rectangular")[0]
     with pytest.raises(ValueError, match="shorter than 2 \\* max_lag = 88"):
         gcc_phat_tdoa(frame)
+
+
+_NOISE = AudioBuffer(np.random.default_rng(3).normal(size=(2, FS // 2)) * 0.1, FS)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: signal_itd_lag(_NOISE, MetricConfig(max_lag=1e-5)), "max_lag 1e-05 s is under one sample at 44100 Hz"),
+        (lambda: signal_ild(AudioBuffer(_NOISE.left, FS)), "ILD needs a stereo signal"),
+        (lambda: delta_ild(_NOISE, AudioBuffer(_NOISE.left, FS)), "channel counts differ: reference 2 vs estimate 1"),
+    ],
+    ids=["max_lag under one sample", "ild of mono", "channel-count mismatch"],
+)
+def test_cue_refusals_are_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -177,6 +177,22 @@ def test_mix_length_mismatch():
         mix_and_normalize([a, b])
 
 
+_STEREO = AudioBuffer(np.ones((2, 64)), 44100)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: binauralize(_STEREO, _STEREO), "binauralize expects a mono buffer"),
+        (lambda: mix_and_normalize([]), "no stems to mix"),
+    ],
+    ids=["stereo source", "no stems"],
+)
+def test_render_refusals_are_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_synthesize_track_outputs(tmp_path, sphere_db, rng):
     song = make_song_dir(tmp_path / "in", "song1", rng)
     layout = sample_layout(11)

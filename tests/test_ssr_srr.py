@@ -218,6 +218,20 @@ def test_disjoint_estimate_clamps_srr(rng):
     assert srr.is_finite and srr.value == metrics.NEG_DB_CLAMP == -200.0
 
 
+def test_srr_between_minus_and_plus_inf_frames_is_undefined(rng):
+    # Two frames: the estimate equals the reference in the first (SRR +inf) and,
+    # in the second, sounds only after the reference has stopped (SRR -inf).
+    # Their median has no value; it must come out undefined, with no warning.
+    half = FS // 2
+    ref = 0.1 * rng.normal(size=(2, FS))
+    est = ref.copy()
+    est[:, half:] = 0.0
+    est[:, half + int(0.3 * FS) :] = 0.1 * rng.normal(size=(2, half - int(0.3 * FS)))
+    ref[:, half + int(0.2 * FS) :] = 0.0
+    ssr, srr = ssr_srr(AudioBuffer(ref, FS), AudioBuffer(est, FS), MetricConfig(ssr_window=0.5, ssr_hop=0.5))
+    assert ssr.is_infinite and srr.is_undefined
+
+
 def test_srr_ratio_underflowing_to_zero_clamps():
     """A projection so small that projected / residual energy underflows to 0 gives SRR NEG_DB_CLAMP, not an error."""
     rng = np.random.default_rng(1)
