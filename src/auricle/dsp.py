@@ -12,7 +12,7 @@ from .audio import AudioBuffer
 
 __all__ = ["Frame", "frame_signal", "fft_convolve", "rms_weight"]
 
-# FFT samples in one pass of fft_convolve (512 KiB of float64; two ears run at once)
+# FFT samples in one pass of fft_convolve (512 KiB of float64; two stems render at once)
 _PASS_SAMPLES = 1 << 16
 # Samples in one leaf of _dot's pairwise tree: the largest product it builds (512 KiB of float64)
 _DOT_LEAF = 1 << 16

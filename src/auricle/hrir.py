@@ -93,8 +93,11 @@ def save_hrir_database(db: HrirDatabase, directory) -> None:
     """Write ``db`` as float32 WAVs in the on-disk layout that load_hrir_database reads.
 
     To convert a measured set, build an ``HrirDatabase`` of its ``read_wav``
-    buffers and save it into a directory named after the subject.
+    buffers and save it into a directory named after the subject. A set not at
+    ``SAMPLE_RATE`` is refused before anything is written.
     """
+    if db.sample_rate != SAMPLE_RATE:
+        raise ValueError(f"HRIR set {db.subject_id!r} is at {db.sample_rate} Hz; a saved set must be at {SAMPLE_RATE} Hz")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for angle in GRID_DEGREES:

@@ -11,6 +11,7 @@ import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -157,11 +158,7 @@ def downmix_mono(stereo: AudioBuffer) -> AudioBuffer:
 
 
 def binauralize(mono: AudioBuffer, hrir: AudioBuffer) -> AudioBuffer:
-    """Render a mono signal through a stereo (left, right) HRIR; output is N + L - 1 long.
-
-    The ears are convolved at once, the right on a worker thread (FFTs release
-    the GIL), each into its own row: the bits of two calls in turn.
-    """
+    """Render a mono signal through a stereo (left, right) HRIR, one ear after the other; output is N + L - 1 long."""
     if mono.num_channels != 1:
         raise ValueError("binauralize expects a mono buffer")
     if hrir.num_channels != 2:
@@ -172,11 +169,8 @@ def binauralize(mono: AudioBuffer, hrir: AudioBuffer) -> AudioBuffer:
         )
     x = mono.samples[0]
     out = np.empty((2, x.size + hrir.num_samples - 1))
-    # A pool per call: a long-lived worker thread would not survive a fork.
-    with ThreadPoolExecutor(max_workers=1) as ear:
-        right = ear.submit(fft_convolve, x, hrir.right, out[1])
-        fft_convolve(x, hrir.left, out[0])
-        right.result()
+    fft_convolve(x, hrir.left, out[0])
+    fft_convolve(x, hrir.right, out[1])
     return AudioBuffer(out, mono.sample_rate)
 
 
@@ -211,6 +205,15 @@ def mix_and_normalize(stems) -> tuple[AudioBuffer, float, list[AudioBuffer]]:
     return AudioBuffer(mix, rate), gain, stems
 
 
+def _read_source(path) -> AudioBuffer:
+    """The mono downmix of the stereo stem WAV at ``path``; a stem that is not stereo is named."""
+    stereo = read_wav(path)
+    try:
+        return downmix_mono(stereo)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def synthesize_track(
     track_dir,
     db: HrirDatabase,
@@ -226,36 +229,29 @@ def synthesize_track(
     """
     track_dir = Path(track_dir)
     out_dir = Path(out_dir)
+    # Two stems at a time: reads, downmixes, FFTs and writes release the GIL. A pool
+    # per call, as a long-lived worker thread would not survive a fork.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        sources = list(pool.map(_read_source, [track_dir / f"{stem}.wav" for stem in STEM_NAMES]))
 
-    sources = {}
-    for stem in STEM_NAMES:
-        path = track_dir / f"{stem}.wav"
-        stereo = read_wav(path)
-        try:
-            sources[stem] = downmix_mono(stereo)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    # only the mono sources stay alive while the song is rendered
-    del stereo
+        lengths = {s.num_samples for s in sources}
+        if len(lengths) != 1:
+            raise ValueError(f"stems in {track_dir} differ in length: {sorted(lengths)}")
+        rates = {s.sample_rate for s in sources}
+        if len(rates) != 1:
+            raise ValueError(f"stems in {track_dir} differ in sample rate: {sorted(rates)}")
+        rate = rates.pop()
+        if rate != db.sample_rate:
+            raise ValueError(f"{track_dir}: track rate {rate} Hz does not match HRIR rate {db.sample_rate} Hz")
 
-    lengths = {s.num_samples for s in sources.values()}
-    if len(lengths) != 1:
-        raise ValueError(f"stems in {track_dir} differ in length: {sorted(lengths)}")
-    rates = {s.sample_rate for s in sources.values()}
-    if len(rates) != 1:
-        raise ValueError(f"stems in {track_dir} differ in sample rate: {sorted(rates)}")
-    rate = rates.pop()
-    if rate != db.sample_rate:
-        raise ValueError(f"{track_dir}: track rate {rate} Hz does not match HRIR rate {db.sample_rate} Hz")
+        # Each source is freed once rendered; the stems are this call's, so the mix may scale them in place.
+        renders = pool.map(binauralize, sources, [db[layout.assignments[stem]] for stem in STEM_NAMES])
+        del sources
+        mixture, gain, scaled = mix_and_normalize(list(renders))
 
-    # Sources are freed as rendered; the stems are this call's, so the mix may scale them in place.
-    rendered = [binauralize(sources.pop(stem), db[layout.assignments[stem]]) for stem in STEM_NAMES]
-    mixture, gain, scaled = mix_and_normalize(rendered)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for stem, buf in zip(STEM_NAMES, scaled):
-        write_wav(out_dir / f"{stem}.wav", buf, encoding=encoding)
-    write_wav(out_dir / "mixture.wav", mixture, encoding=encoding)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        paths = [out_dir / f"{name}.wav" for name in (*STEM_NAMES, "mixture")]
+        list(pool.map(write_wav, paths, [*scaled, mixture], repeat(encoding)))
 
     manifest = Manifest(
         song_id=track_dir.name,

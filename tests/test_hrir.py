@@ -108,6 +108,14 @@ def test_mono_file_rejected(tmp_path, sphere_db):
         load_hrir_database(tmp_path / "db")
 
 
+def test_saving_a_set_off_the_loader_rate_is_refused_before_writing(tmp_path, sphere_db):
+    # A 48 kHz measured set would save, and then load_hrir_database would refuse it.
+    entries = {a: AudioBuffer(sphere_db[a].samples, 48000) for a in GRID_DEGREES}
+    with pytest.raises(ValueError, match=r"^HRIR set 'D1' is at 48000 Hz; a saved set must be at 44100 Hz$"):
+        save_hrir_database(HrirDatabase("D1", entries), tmp_path / "hrir" / "D1")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_spherical_head_structure(sphere_db):
     center = sphere_db[0]
     assert np.array_equal(center.left, center.right)  # median plane symmetry

@@ -44,14 +44,24 @@ def test_package_imports_resolve():
             assert getattr(auricle, alias.asname or alias.name) is getattr(module, alias.name)
 
 
-def test_cli_import_loads_neither_scipy_signal_nor_stats():
-    # scipy is a test dependency only: a fresh interpreter running the CLI loads none of it
+def _packages_loaded_by_cli_import() -> set:
+    """The top-level packages of every module a fresh interpreter holds after ``import auricle.cli``."""
     src = str(Path(auricle.__file__).resolve().parents[1])
     child = "import sys; sys.path.insert(0, sys.argv[1]); import auricle.cli; print(*sys.modules, sep='\\n')"
     out = subprocess.run([sys.executable, "-c", child, src], capture_output=True, text=True, check=True)
     loaded = out.stdout.split()
     assert "auricle.cli" in loaded
-    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    return {m.split(".")[0] for m in loaded}
+
+
+def test_cli_import_loads_neither_scipy_signal_nor_stats():
+    # scipy is a test dependency only: a fresh interpreter running the CLI loads none of it
+    assert "scipy" not in _packages_loaded_by_cli_import()
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # Only evaluate --jobs above 1 starts worker processes; importing multiprocessing would cost every command.
+    assert {"multiprocessing", "_multiprocessing"}.isdisjoint(_packages_loaded_by_cli_import())
 
 
 def test_no_source_file_imports_scipy():

@@ -100,22 +100,30 @@ def test_binauralize_right_ear_failure_propagates(rng, monkeypatch):
         binauralize(AudioBuffer(rng.normal(size=1000), 44100), pair)
 
 
-def _render_and_exit(mono, pair, want):
-    raise SystemExit(0 if np.array_equal(binauralize(mono, pair).samples, want) else 1)
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-def test_binauralize_in_forked_child_after_parent(rng, sphere_db):
-    mono = AudioBuffer(rng.normal(size=50_000), 44100)
-    want = binauralize(mono, sphere_db[40]).samples
-    child = multiprocessing.get_context("fork").Process(target=_render_and_exit, args=(mono, sphere_db[40], want))
+def _exit_code_of_forked_child(target, *args) -> int:
+    """Run ``target(*args)`` in a forked child and return its exit code; a child that hangs fails the test."""
+    child = multiprocessing.get_context("fork").Process(target=target, args=args)
     child.start()
     child.join(timeout=60)
     if child.is_alive():
         child.kill()
         child.join()
-        pytest.fail("binauralize hung in a forked child")
-    assert child.exitcode == 0
+        pytest.fail(f"{target.__name__} hung in a forked child")
+    return child.exitcode
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+
+
+def _render_and_exit(mono, pair, want):
+    raise SystemExit(0 if np.array_equal(binauralize(mono, pair).samples, want) else 1)
+
+
+@needs_fork
+def test_binauralize_in_forked_child_after_parent(rng, sphere_db):
+    mono = AudioBuffer(rng.normal(size=50_000), 44100)
+    want = binauralize(mono, sphere_db[40]).samples
+    assert _exit_code_of_forked_child(_render_and_exit, mono, sphere_db[40], want) == 0
 
 
 def test_binauralize_rate_mismatch(sphere_db):
@@ -236,6 +244,56 @@ def test_synthesize_deterministic(tmp_path, sphere_db, rng):
         ha = hashlib.sha256((out_a / name).read_bytes()).hexdigest()
         hb = hashlib.sha256((out_b / name).read_bytes()).hexdigest()
         assert ha == hb, name
+
+
+def test_synthesize_track_equals_the_serial_render_bit_for_bit(tmp_path, sphere_db, rng):
+    song = tmp_path / "in" / "song1"
+    for stem in STEM_NAMES:  # loud enough that the mix scales every stem
+        write_wav(song / f"{stem}.wav", noise_buffer(rng, seconds=1.5, amplitude=0.5))
+    layout = sample_layout(21)
+    out = tmp_path / "out"
+    manifest = synthesize_track(song, sphere_db, layout, out)
+
+    rendered = [
+        binauralize(downmix_mono(read_wav(song / f"{stem}.wav")), sphere_db[layout.assignments[stem]])
+        for stem in STEM_NAMES
+    ]
+    mixture, gain, scaled = mix_and_normalize(rendered)
+    assert gain < 1.0 and manifest.normalization_gain == gain  # the stems were scaled
+    for name, buf in [*zip(STEM_NAMES, scaled), ("mixture", mixture)]:
+        written = read_wav(out / f"{name}.wav").samples
+        assert np.array_equal(written, buf.samples.astype(np.float32)), name
+
+
+def test_a_stem_render_failure_propagates_and_writes_nothing(tmp_path, sphere_db, rng, monkeypatch):
+    song = make_song_dir(tmp_path / "in", "song1", rng)
+    layout = sample_layout(7)
+    drums = sphere_db[layout.assignments["drums"]]
+
+    def render(mono, hrir):
+        if hrir is drums:
+            raise RuntimeError("drums render failed")
+        return binauralize(mono, hrir)
+
+    monkeypatch.setattr(auricle.scene, "binauralize", render)
+    with pytest.raises(RuntimeError, match="^drums render failed$"):
+        synthesize_track(song, sphere_db, layout, tmp_path / "out" / "song1")
+    assert not (tmp_path / "out").exists()
+
+
+def _synthesize_and_exit(song, db, layout, out, want):
+    synthesize_track(song, db, layout, out)
+    raise SystemExit(0 if {p.name: p.read_bytes() for p in out.iterdir()} == want else 1)
+
+
+@needs_fork
+def test_synthesize_track_in_forked_child_after_parent(tmp_path, sphere_db, rng):
+    song = make_song_dir(tmp_path / "in", "song1", rng)
+    layout = sample_layout(8)
+    synthesize_track(song, sphere_db, layout, tmp_path / "parent")
+    want = {p.name: p.read_bytes() for p in (tmp_path / "parent").iterdir()}
+    assert len(want) == 6
+    assert _exit_code_of_forked_child(_synthesize_and_exit, song, sphere_db, layout, tmp_path / "child", want) == 0
 
 
 def test_synthesized_center_stem_has_zero_itd(tmp_path, sphere_db, rng):

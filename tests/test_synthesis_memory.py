@@ -1,7 +1,8 @@
 """Synthesis holds signal-sized buffers only while they are in use.
 
 Convolution holds its output and a fixed number of FFT blocks, a binaural
-render holds its two-row output and the blocks of both ears, and the
+render holds its two-row output and the blocks of one ear, a song holds at
+most five stereo signals while its stems render two at a time, and the
 command-line program hands freed signal-sized buffers back to the system,
 so its peak memory is what is alive, not what the heap happened to keep.
 """
@@ -16,7 +17,9 @@ import numpy as np
 import pytest
 
 import auricle
-from auricle import AudioBuffer, binauralize, fft_convolve
+from auricle import AudioBuffer, binauralize, fft_convolve, sample_layout, spherical_head_database, synthesize_track
+
+from helpers import make_song_dir
 
 
 def test_convolution_holds_its_output_and_fixed_blocks():
@@ -36,8 +39,7 @@ def test_convolution_holds_its_output_and_fixed_blocks():
 
 
 def test_binaural_render_holds_its_output_and_fixed_blocks():
-    # Both ears in flight together stay within what one ear may hold, and
-    # the ears are written in place, not stacked from copies.
+    # The ears are written in place, not stacked from copies.
     rng = np.random.default_rng(4)
     x = rng.normal(size=60 * 44100)
     pair = AudioBuffer(rng.normal(size=(2, 1024)), 44100)
@@ -50,6 +52,24 @@ def test_binaural_render_holds_its_output_and_fixed_blocks():
         tracemalloc.stop()
     extra = peak - out.samples.nbytes
     assert extra < 0.5 * x.nbytes, f"{extra / 1e6:.2f} MB besides a {out.samples.nbytes / 1e6:.1f} MB output"
+
+
+def test_song_synthesis_holds_five_stereo_signals_and_fixed_blocks(tmp_path):
+    # The peak comes as the last two stems render (two rendered stems, two outputs and their sources) and as the
+    # stems are mixed (four stems and the mixture): five stereo signals either way, plus the FFT blocks of the two
+    # convolutions in flight, about 5.5 MB. Reading four stems at once would hold about 12 MB more.
+    seconds = 10
+    song = make_song_dir(tmp_path / "in", "song", np.random.default_rng(5), seconds=seconds)
+    db = spherical_head_database()
+    signal = 2 * (seconds * 44100 + db[0].num_samples - 1) * 8
+    tracemalloc.start()
+    try:
+        synthesize_track(song, db, sample_layout(3), tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = peak - 5 * signal
+    assert extra < 8e6, f"{extra / 1e6:.2f} MB besides five {signal / 1e6:.1f} MB stereo signals"
 
 
 RELEASE_CHILD = """
