@@ -6,6 +6,7 @@ synthesis manifest (layout.json) the stem azimuths are attached to each row.
 """
 
 import csv
+import os
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
@@ -60,7 +61,7 @@ def evaluate_track(ref_dir, est_dir, cfg: MetricConfig = DEFAULT_CONFIG) -> list
     ref_dir = Path(ref_dir)
     est_dir = Path(est_dir)
     manifest = read_manifest(ref_dir / MANIFEST_NAME) if (ref_dir / MANIFEST_NAME).exists() else None
-    track_id = manifest.song_id if manifest else ref_dir.name
+    track_id = manifest.song_id if manifest else Path(os.path.abspath(ref_dir)).name
 
     rows = []
     for stem in STEM_NAMES:

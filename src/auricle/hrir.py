@@ -8,6 +8,7 @@ WAV per angle named ``azi_<deg>_ele_0.wav`` (e.g. ``azi_-30_ele_0.wav``);
 """
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,7 @@ _FILE_NAME = "azi_{}_ele_0.wav"  # the per-angle file name
 
 @dataclass
 class HrirDatabase:
-    """One stereo AudioBuffer (left, right) per grid angle, all of one length and rate."""
+    """One stereo AudioBuffer (left, right) per grid angle, all of one length and at ``SAMPLE_RATE``."""
 
     subject_id: str
     entries: dict
@@ -51,6 +52,8 @@ class HrirDatabase:
         odd = ", ".join(f"{a} has {n} taps at {r} Hz" for a, (n, r) in shapes.items() if (n, r) != (taps, rate))
         if odd:
             raise ValueError(f"HRIR set mixes lengths or rates: most azimuths have {taps} taps at {rate} Hz, but {odd}")
+        if rate != SAMPLE_RATE:
+            raise ValueError(f"HRIR set {self.subject_id!r} is at {rate} Hz; a set must be at {SAMPLE_RATE} Hz")
 
     def __getitem__(self, azimuth: int) -> AudioBuffer:
         return self.entries[azimuth]
@@ -63,10 +66,10 @@ class HrirDatabase:
 def load_hrir_database(directory) -> HrirDatabase:
     """Load all 19 grid angles from ``directory``, one ``azi_<deg>_ele_0.wav`` each.
 
-    Every file must be a stereo WAV at ``SAMPLE_RATE``, all of one length;
-    a missing angle, a rate mismatch or a file unlike the rest is a hard
-    error naming the angle (``HrirDatabase`` checks the set). The subject
-    is the directory's name. A directory holding an ``index.json`` is refused.
+    A missing angle is a hard error naming it, and ``HrirDatabase`` refuses a
+    file that is not stereo, one unlike the rest in length or rate (naming its
+    angle) and a set not at ``SAMPLE_RATE``. The subject is the name of the
+    directory's absolute path. A directory holding an ``index.json`` is refused.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -80,25 +83,21 @@ def load_hrir_database(directory) -> HrirDatabase:
         path = directory / _FILE_NAME.format(angle)
         if not path.exists():
             raise FileNotFoundError(f"HRIR for azimuth {angle} missing (expected {path})")
-        entries[angle] = buf = read_wav(path)
-        if buf.sample_rate != SAMPLE_RATE:
-            raise ValueError(
-                f"sample-rate mismatch for azimuth {angle}: "
-                f"{path} is {buf.sample_rate} Hz, expected {SAMPLE_RATE}"
-            )
-    return HrirDatabase(directory.name, entries)
+        entries[angle] = read_wav(path)
+    return HrirDatabase(Path(os.path.abspath(directory)).name, entries)
 
 
 def save_hrir_database(db: HrirDatabase, directory) -> None:
     """Write ``db`` as float32 WAVs in the on-disk layout that load_hrir_database reads.
 
     To convert a measured set, build an ``HrirDatabase`` of its ``read_wav``
-    buffers and save it into a directory named after the subject. A set not at
-    ``SAMPLE_RATE`` is refused before anything is written.
+    buffers and save it into a directory named after the subject. A directory
+    holding an ``index.json`` is refused before anything is written.
     """
-    if db.sample_rate != SAMPLE_RATE:
-        raise ValueError(f"HRIR set {db.subject_id!r} is at {db.sample_rate} Hz; a saved set must be at {SAMPLE_RATE} Hz")
     directory = Path(directory)
+    index = directory / "index.json"
+    if index.exists():
+        raise ValueError(f"{index}: load_hrir_database would refuse this directory; save the set into another")
     directory.mkdir(parents=True, exist_ok=True)
     for angle in GRID_DEGREES:
         write_wav(directory / _FILE_NAME.format(angle), db[angle])

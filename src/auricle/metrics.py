@@ -125,7 +125,7 @@ class MetricValue:
 
     @classmethod
     def finite(cls, value: float) -> "MetricValue":
-        return cls(float(value), MetricStatus.FINITE)
+        return cls(float(value) + 0.0, MetricStatus.FINITE)  # -0.0 + 0.0 is +0.0: one zero
 
     @classmethod
     def infinite(cls) -> "MetricValue":

@@ -8,6 +8,7 @@ same gain is applied to the stems so mixture == sum(stems) holds on disk.
 
 import hashlib
 import json
+import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -184,11 +185,11 @@ def mix_and_normalize(stems) -> tuple[AudioBuffer, float, list[AudioBuffer]]:
     stems = list(stems)
     if not stems:
         raise ValueError("no stems to mix")
+    kinds = [(s.num_channels, s.num_samples, s.sample_rate) for s in stems]
+    if len(set(kinds)) != 1:
+        raise ValueError(f"stems must share channel count, length and sample rate; (channels, samples, Hz) are {kinds}")
     shape = stems[0].samples.shape
     rate = stems[0].sample_rate
-    for s in stems[1:]:
-        if s.samples.shape != shape or s.sample_rate != rate:
-            raise ValueError("stems must share length, channel count and sample rate")
 
     mix = np.zeros(shape)
     for s in stems:
@@ -205,11 +206,13 @@ def mix_and_normalize(stems) -> tuple[AudioBuffer, float, list[AudioBuffer]]:
     return AudioBuffer(mix, rate), gain, stems
 
 
-def _read_source(path) -> AudioBuffer:
-    """The mono downmix of the stereo stem WAV at ``path``; a stem that is not stereo is named."""
+def _render_stem(path, hrir: AudioBuffer) -> AudioBuffer:
+    """Render the stereo stem WAV at ``path`` through ``hrir``, freeing the read first; a refusal names the file."""
     stereo = read_wav(path)
     try:
-        return downmix_mono(stereo)
+        mono = downmix_mono(stereo)
+        del stereo
+        return binauralize(mono, hrir)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -223,8 +226,9 @@ def synthesize_track(
 ) -> Manifest:
     """Binauralize one song directory and write stems, mixture and manifest.
 
-    ``track_dir`` must hold vocals/bass/drums/other WAVs of equal length at
-    the database's sample rate. The written stems carry the mixture gain, so
+    ``track_dir`` must hold stereo vocals/bass/drums/other WAVs of equal length
+    at the database's sample rate; a stem or track that breaks this is named
+    before anything is written. The written stems carry the mixture gain, so
     re-reading them reproduces mixture == sum(stems) up to encoding error.
     """
     track_dir = Path(track_dir)
@@ -232,32 +236,22 @@ def synthesize_track(
     # Two stems at a time: reads, downmixes, FFTs and writes release the GIL. A pool
     # per call, as a long-lived worker thread would not survive a fork.
     with ThreadPoolExecutor(max_workers=2) as pool:
-        sources = list(pool.map(_read_source, [track_dir / f"{stem}.wav" for stem in STEM_NAMES]))
-
-        lengths = {s.num_samples for s in sources}
-        if len(lengths) != 1:
-            raise ValueError(f"stems in {track_dir} differ in length: {sorted(lengths)}")
-        rates = {s.sample_rate for s in sources}
-        if len(rates) != 1:
-            raise ValueError(f"stems in {track_dir} differ in sample rate: {sorted(rates)}")
-        rate = rates.pop()
-        if rate != db.sample_rate:
-            raise ValueError(f"{track_dir}: track rate {rate} Hz does not match HRIR rate {db.sample_rate} Hz")
-
-        # Each source is freed once rendered; the stems are this call's, so the mix may scale them in place.
-        renders = pool.map(binauralize, sources, [db[layout.assignments[stem]] for stem in STEM_NAMES])
-        del sources
-        mixture, gain, scaled = mix_and_normalize(list(renders))
+        paths = [track_dir / f"{stem}.wav" for stem in STEM_NAMES]
+        renders = list(pool.map(_render_stem, paths, [db[layout.assignments[stem]] for stem in STEM_NAMES]))
+        try:  # the renders are this call's, so the mix may scale them in place
+            mixture, gain, scaled = mix_and_normalize(renders)
+        except ValueError as exc:
+            raise ValueError(f"{track_dir}: {exc}") from exc
 
         out_dir.mkdir(parents=True, exist_ok=True)
         paths = [out_dir / f"{name}.wav" for name in (*STEM_NAMES, "mixture")]
         list(pool.map(write_wav, paths, [*scaled, mixture], repeat(encoding)))
 
     manifest = Manifest(
-        song_id=track_dir.name,
+        song_id=Path(os.path.abspath(track_dir)).name,
         seed=layout.seed,
         hrtf_subject=db.subject_id,
-        sample_rate=rate,
+        sample_rate=mixture.sample_rate,
         normalization_gain=gain,
         stems={stem: {"azimuth_deg": int(layout.assignments[stem])} for stem in STEM_NAMES},
     )
@@ -287,6 +281,6 @@ def synthesize_dataset(
     manifests = []
     for track in discover_tracks(dataset_root):
         song_dir = dataset_root / track
-        layout = sample_layout(song_seed(master_seed, song_dir.name))
+        layout = sample_layout(song_seed(master_seed, Path(os.path.abspath(song_dir)).name))
         manifests.append(synthesize_track(song_dir, db, layout, out_root / track, encoding))
     return manifests

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import auricle
-from auricle import MetricConfig, save_hrir_database, spherical_head_database
+from auricle import AudioBuffer, MetricConfig, save_hrir_database, song_seed, spherical_head_database, write_wav
 from auricle.cli import run_cli
 
 from helpers import make_song_dir
@@ -127,6 +128,60 @@ def test_error_paths_exit_nonzero(workspace, tmp_path, capsys):
 
     code = run_cli(["report", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r.csv")])
     assert code == 1
+
+
+def _mono_stem(song, hrir):
+    write_wav(song / "bass.wav", AudioBuffer(np.full(4410, 0.1), 44100))
+    return rf"{re.escape(str(song / 'bass.wav'))}: downmix expects 2 channels, got 1"
+
+
+def _short_stem(song, hrir):
+    write_wav(song / "other.wav", AudioBuffer(np.full((2, 4410), 0.1), 44100))
+    return rf"{re.escape(str(song))}: stems must share channel count, length and sample rate; .*\(2, 4537, 44100\)\]"
+
+
+def _one_stem_at_48k(song, hrir):
+    write_wav(song / "drums.wav", AudioBuffer(np.full((2, 22050), 0.1), 48000))
+    return rf"{re.escape(str(song / 'drums.wav'))}: sample-rate mismatch: signal 48000 Hz vs HRIR 44100 Hz"
+
+
+def _all_stems_at_48k(song, hrir):
+    make_song_dir(song.parent, song.name, np.random.default_rng(2), fs=48000, seconds=0.5)
+    return rf"{re.escape(str(song / 'vocals.wav'))}: sample-rate mismatch: signal 48000 Hz vs HRIR 44100 Hz"
+
+
+def _hrir_set_at_48k(song, hrir):
+    for path in hrir.iterdir():
+        write_wav(path, AudioBuffer(np.full((2, 128), 0.1), 48000))
+    return r"HRIR set 'sphere' is at 48000 Hz; a set must be at 44100 Hz"
+
+
+def _mixed_hrir_set(song, hrir):
+    write_wav(hrir / "azi_30_ele_0.wav", AudioBuffer(np.full((2, 128), 0.1), 48000))
+    return r"HRIR set mixes lengths or rates: most azimuths have 128 taps at 44100 Hz, but 30 has 128 taps at 48000 Hz"
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [_mono_stem, _short_stem, _one_stem_at_48k, _all_stems_at_48k, _hrir_set_at_48k, _mixed_hrir_set],
+    ids=lambda spoil: spoil.__name__[1:],
+)
+def test_synthesize_refuses_bad_input_by_name_before_writing(tmp_path, capsys, spoil):
+    song = make_song_dir(tmp_path / "musdb", "song1", np.random.default_rng(1), seconds=0.5)
+    save_hrir_database(spherical_head_database(), tmp_path / "sphere")
+    message = spoil(song, tmp_path / "sphere")
+    argv = ["synthesize", "--musdb", tmp_path / "musdb", "--hrir", tmp_path / "sphere", "--out", tmp_path / "out", "--seed", 1]
+    assert run_cli([str(a) for a in argv]) == 1
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_song_synthesized_as_dot_is_named_after_its_directory(workspace, tmp_path, monkeypatch):
+    monkeypatch.chdir(workspace / "musdb" / "test" / "song1")
+    argv = ["synthesize", "--musdb", ".", "--hrir", workspace / "hrir", "--out", tmp_path / "out", "--seed", 5]
+    assert run_cli([str(a) for a in argv]) == 0
+    manifest = json.loads((tmp_path / "out" / "layout.json").read_text())
+    assert (manifest["song_id"], manifest["seed"]) == ("song1", song_seed(5, "song1"))
 
 
 def test_module_run_reaches_main(tmp_path):

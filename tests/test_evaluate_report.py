@@ -1,3 +1,4 @@
+import math
 import re
 import string
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from auricle import (
     STEM_NAMES,
     AudioBuffer,
+    MetricStatus,
     MetricValue,
     aggregate_medians,
     bin_by_angle,
@@ -310,6 +312,29 @@ def test_aggregate_medians_invariant_to_row_order(data, rows):
         for m in METRIC_FIELDS:
             assert (cell_a[m].count, cell_a[m].excluded) == (cell_b[m].count, cell_b[m].excluded)
             assert repr(cell_a[m].median.as_float()) == repr(cell_b[m].median.as_float())
+
+
+def test_a_negative_zero_reads_back_and_reports_as_zero(tmp_path):
+    # 0.0 and -0.0 sort as equal, so a median that kept the sign would follow the row order.
+    rows = [_make_row("t1", "vocals", 0, ssr=0.0), _make_row("t2", "vocals", 0, ssr=-0.0)]
+    reports = []
+    for order in (rows, rows[::-1]):
+        write_report(aggregate_medians(order), "csv", tmp_path / "report.csv")
+        reports.append((tmp_path / "report.csv").read_text())
+    assert reports[0] == reports[1]
+    assert "\nall,ssr_db,n/a (0 excluded),n/a (0 excluded),n/a (0 excluded),0.00,0.00\n" in reports[0]
+
+    rows[1].ssr_db = MetricValue(-0.0, MetricStatus.FINITE)  # a cell written by another tool
+    write_rows_csv(rows, tmp_path / "rows.csv")
+    assert ",-0.0," in (tmp_path / "rows.csv").read_text()
+    back = read_rows_csv(tmp_path / "rows.csv")[1].ssr_db.value
+    assert back == 0.0 and math.copysign(1.0, back) == 1.0
+
+
+def test_a_track_evaluated_as_dot_is_named_after_its_directory(tmp_path, rng, monkeypatch):
+    song = make_song_dir(tmp_path / "ref", "songB", rng, seconds=0.5)
+    monkeypatch.chdir(song)
+    assert {row.track_id for row in evaluate_track(".", ".")} == {"songB"}
 
 
 # Finite values a metric can hold: normal floats within +-1e300, and +0.0 (no

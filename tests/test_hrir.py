@@ -97,7 +97,7 @@ def test_sample_rate_mismatch(tmp_path, sphere_db):
     save_hrir_database(sphere_db, tmp_path / "db")
     bad = AudioBuffer(np.zeros((2, 64)) + 0.1, 48000)
     write_wav(tmp_path / "db" / "azi_0_ele_0.wav", bad)
-    with pytest.raises(ValueError, match="sample-rate mismatch"):
+    with pytest.raises(ValueError, match=r"^HRIR set mixes lengths or rates: .* but 0 has 64 taps at 48000 Hz$"):
         load_hrir_database(tmp_path / "db")
 
 
@@ -111,7 +111,7 @@ def test_mono_file_rejected(tmp_path, sphere_db):
 def test_saving_a_set_off_the_loader_rate_is_refused_before_writing(tmp_path, sphere_db):
     # A 48 kHz measured set would save, and then load_hrir_database would refuse it.
     entries = {a: AudioBuffer(sphere_db[a].samples, 48000) for a in GRID_DEGREES}
-    with pytest.raises(ValueError, match=r"^HRIR set 'D1' is at 48000 Hz; a saved set must be at 44100 Hz$"):
+    with pytest.raises(ValueError, match=r"^HRIR set 'D1' is at 48000 Hz; a set must be at 44100 Hz$"):
         save_hrir_database(HrirDatabase("D1", entries), tmp_path / "hrir" / "D1")
     assert list(tmp_path.iterdir()) == []
 
@@ -170,3 +170,20 @@ def test_a_leftover_index_json_is_refused_before_reading(tmp_path, sphere_db, rn
     assert run_cli([str(a) for a in argv]) == 1
     assert f"error: {index}: an angle-to-file index is not read" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_saving_into_a_directory_holding_an_index_json_is_refused_before_writing(tmp_path, sphere_db):
+    # The loader refuses a directory with an index.json, so a set saved there could not be read back.
+    index = tmp_path / "hrir" / "index.json"
+    index.parent.mkdir()
+    index.write_text('{"0": "azi_0_ele_0.wav"}')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(index))}: load_hrir_database would refuse this directory"):
+        save_hrir_database(sphere_db, index.parent)
+    assert list(index.parent.iterdir()) == [index]
+
+
+def test_a_set_loaded_as_dot_is_named_after_its_directory(tmp_path, sphere_db, monkeypatch):
+    save_hrir_database(sphere_db, tmp_path / "D2")
+    monkeypatch.chdir(tmp_path / "D2")
+    assert load_hrir_database(".").subject_id == "D2"
+    assert load_hrir_database("../D2/.").subject_id == "D2"
