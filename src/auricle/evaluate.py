@@ -56,7 +56,8 @@ def evaluate_track(ref_dir, est_dir, cfg: MetricConfig = DEFAULT_CONFIG) -> list
     """Compute SSR/SRR and interaural-cue deltas for every stem of one track.
 
     The reference directory's ``layout.json``, if any, gives the track id and
-    each stem's azimuth.
+    each stem's azimuth. A pair the metrics refuse (not stereo, unequal channel
+    counts or rates, lengths over one SSR frame apart) names both files.
     """
     ref_dir = Path(ref_dir)
     est_dir = Path(est_dir)
@@ -69,14 +70,13 @@ def evaluate_track(ref_dir, est_dir, cfg: MetricConfig = DEFAULT_CONFIG) -> list
         est_path = est_dir / f"{stem}.wav"
         ref = read_wav(ref_path)
         est = read_wav(est_path)
-        if ref.num_channels != 2 or est.num_channels != 2:
-            raise ValueError(f"stems must be stereo: {ref_path} / {est_path}")
         try:
             ref, est = align_pair(ref, est, cfg)
+            itd = delta_itd(ref, est, cfg)
+            ild = delta_ild(ref, est)  # with delta_itd, refuses a pair that is not stereo before the costlier SSR/SRR
+            ssr, srr = ssr_srr(ref, est, cfg)
         except ValueError as exc:
-            raise ValueError(f"{est_path}: {exc}") from exc
-
-        ssr, srr = ssr_srr(ref, est, cfg)
+            raise ValueError(f"{ref_path} / {est_path}: {exc}") from exc
         rows.append(
             MetricRow(
                 track_id=track_id,
@@ -84,8 +84,8 @@ def evaluate_track(ref_dir, est_dir, cfg: MetricConfig = DEFAULT_CONFIG) -> list
                 azimuth_deg=manifest.stems[stem]["azimuth_deg"] if manifest else None,
                 ssr_db=ssr,
                 srr_db=srr,
-                delta_itd_us=delta_itd(ref, est, cfg),
-                delta_ild_db=delta_ild(ref, est),
+                delta_itd_us=itd,
+                delta_ild_db=ild,
             )
         )
         del ref, est  # free this stem pair before the next one is read
@@ -159,6 +159,8 @@ def read_rows_csv(path) -> list[MetricRow]:
             raise ValueError(f"{path} is not a metrics CSV (header {reader.fieldnames})")
         for rec in reader:
             where = f"{path}, line {reader.line_num}"
+            if rec["stem"] not in STEM_NAMES:
+                raise ValueError(f"{where}: stem must be one of {list(STEM_NAMES)}, got {rec['stem']!r}")
             azimuth = _azimuth(rec["azimuth_deg"], where) if rec["azimuth_deg"] else None
             values = {f: _decode_value(rec[f], f"{where}: {f}") for f in METRIC_FIELDS}
             rows.append(MetricRow(rec["track_id"], rec["stem"], azimuth, **values))

@@ -58,15 +58,11 @@ class HrirDatabase:
     def __getitem__(self, azimuth: int) -> AudioBuffer:
         return self.entries[azimuth]
 
-    @property
-    def sample_rate(self) -> int:
-        return self.entries[0].sample_rate
-
 
 def load_hrir_database(directory) -> HrirDatabase:
     """Load all 19 grid angles from ``directory``, one ``azi_<deg>_ele_0.wav`` each.
 
-    A missing angle is a hard error naming it, and ``HrirDatabase`` refuses a
+    ``read_wav`` names the file of a missing angle, and ``HrirDatabase`` refuses a
     file that is not stereo, one unlike the rest in length or rate (naming its
     angle) and a set not at ``SAMPLE_RATE``. The subject is the name of the
     directory's absolute path. A directory holding an ``index.json`` is refused.
@@ -78,12 +74,7 @@ def load_hrir_database(directory) -> HrirDatabase:
     if index.exists():
         raise ValueError(f"{index}: an angle-to-file index is not read; convert the set with save_hrir_database")
 
-    entries = {}
-    for angle in GRID_DEGREES:
-        path = directory / _FILE_NAME.format(angle)
-        if not path.exists():
-            raise FileNotFoundError(f"HRIR for azimuth {angle} missing (expected {path})")
-        entries[angle] = read_wav(path)
+    entries = {angle: read_wav(directory / _FILE_NAME.format(angle)) for angle in GRID_DEGREES}
     return HrirDatabase(Path(os.path.abspath(directory)).name, entries)
 
 
@@ -91,14 +82,14 @@ def save_hrir_database(db: HrirDatabase, directory) -> None:
     """Write ``db`` as float32 WAVs in the on-disk layout that load_hrir_database reads.
 
     To convert a measured set, build an ``HrirDatabase`` of its ``read_wav``
-    buffers and save it into a directory named after the subject. A directory
-    holding an ``index.json`` is refused before anything is written.
+    buffers and save it into a directory named after the subject; the
+    directory is created if need be. A directory holding an ``index.json`` is
+    refused before anything is written.
     """
     directory = Path(directory)
     index = directory / "index.json"
     if index.exists():
         raise ValueError(f"{index}: load_hrir_database would refuse this directory; save the set into another")
-    directory.mkdir(parents=True, exist_ok=True)
     for angle in GRID_DEGREES:
         write_wav(directory / _FILE_NAME.format(angle), db[angle])
 

@@ -176,6 +176,54 @@ def test_synthesize_refuses_bad_input_by_name_before_writing(tmp_path, capsys, s
     assert not (tmp_path / "out").exists()
 
 
+def _pair(ref, est, stem):
+    return rf"{re.escape(str(ref / stem))} / {re.escape(str(est / stem))}"
+
+
+def _mono_estimate(ref, est):
+    write_wav(est / "drums.wav", AudioBuffer(np.full(22050, 0.1), 44100))
+    return rf"{_pair(ref, est, 'drums.wav')}: channel counts differ: reference 2 vs estimate 1"
+
+
+def _estimate_at_48k(ref, est):
+    write_wav(est / "bass.wav", AudioBuffer(np.full((2, 24000), 0.1), 48000))
+    return rf"{_pair(ref, est, 'bass.wav')}: sample-rate mismatch: reference 44100 Hz vs estimate 48000 Hz"
+
+
+def _estimate_50000_samples_longer(ref, est):
+    write_wav(est / "other.wav", AudioBuffer(np.full((2, 22050 + 50000), 0.1), 44100))
+    return (
+        rf"{_pair(ref, est, 'other.wav')}: length mismatch of 50000 samples exceeds one 1\.0 s frame; "
+        "refusing to compare misaligned signals"
+    )
+
+
+def _missing_estimate(ref, est):
+    (est / "vocals.wav").unlink()
+    return rf"no such audio file: {re.escape(str(est / 'vocals.wav'))}"
+
+
+def _both_mono(ref, est):
+    for tree in (ref, est):
+        write_wav(tree / "vocals.wav", AudioBuffer(np.full(22050, 0.1), 44100))
+    return rf"{_pair(ref, est, 'vocals.wav')}: ITD needs a stereo signal"
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [_mono_estimate, _estimate_at_48k, _estimate_50000_samples_longer, _missing_estimate, _both_mono],
+    ids=lambda spoil: spoil.__name__[1:],
+)
+def test_evaluate_refuses_bad_input_by_name_before_writing(tmp_path, capsys, spoil):
+    ref = make_song_dir(tmp_path / "ref", "song1", np.random.default_rng(3), seconds=0.5)
+    est = make_song_dir(tmp_path / "est", "song1", np.random.default_rng(4), seconds=0.5)
+    message = spoil(ref, est)
+    argv = ["evaluate", "--reference", tmp_path / "ref", "--estimates", tmp_path / "est", "--out", tmp_path / "rows.csv"]
+    assert run_cli([str(a) for a in argv]) == 1
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_a_song_synthesized_as_dot_is_named_after_its_directory(workspace, tmp_path, monkeypatch):
     monkeypatch.chdir(workspace / "musdb" / "test" / "song1")
     argv = ["synthesize", "--musdb", ".", "--hrir", workspace / "hrir", "--out", tmp_path / "out", "--seed", 5]

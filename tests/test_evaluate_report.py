@@ -203,15 +203,16 @@ def test_evaluate_track_rejects_a_mono_stem_naming_it(synth_song, tmp_path):
     for stem in STEM_NAMES:
         (est_dir / f"{stem}.wav").write_bytes((out / f"{stem}.wav").read_bytes())
     write_wav(est_dir / "vocals.wav", AudioBuffer(np.full(4410, 0.1), 44100))
-    with pytest.raises(ValueError, match=f"stems must be stereo: .* / {re.escape(str(est_dir / 'vocals.wav'))}$"):
+    names = f"{re.escape(str(out / 'vocals.wav'))} / {re.escape(str(est_dir / 'vocals.wav'))}"
+    with pytest.raises(ValueError, match=f"^{names}: channel counts differ: reference 2 vs estimate 1$"):
         evaluate_track(out, est_dir)
 
 
-def _rows_csv(tmp_path, azimuth="30", ssr="1.5"):
+def _rows_csv(tmp_path, azimuth="30", ssr="1.5", stem="bass"):
     path = tmp_path / "rows.csv"
     write_rows_csv([_make_row("t1", "vocals", 0), _make_row("t1", "bass", 10)], path)
     lines = path.read_text().splitlines()
-    lines[2] = f"t1,bass,{azimuth},{ssr},5.0,0.0,0.0"
+    lines[2] = f"t1,{stem},{azimuth},{ssr},5.0,0.0,0.0"
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -222,6 +223,18 @@ def test_rows_csv_azimuth_off_the_integer_range_is_named_with_the_line(tmp_path,
     cause = f"azimuth_deg must be an integer in [-90, 90], got {azimuth!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 3: {re.escape(cause)}$"):
         read_rows_csv(path)
+
+
+@pytest.mark.parametrize("stem", ["Vocals", "piano", ""])
+def test_rows_csv_stem_outside_the_four_names_is_named_with_the_line(tmp_path, capsys, stem):
+    # Such a row would have no per-stem column but would still be pooled into "overall".
+    path = _rows_csv(tmp_path, stem=stem)
+    message = f"{path}, line 3: stem must be one of ['vocals', 'bass', 'drums', 'other'], got {stem!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_rows_csv(path)
+    assert run_cli(["report", "--in", str(path), "--out", str(tmp_path / "report.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_rows_csv_cell_that_is_not_a_number_is_named_with_the_line(tmp_path):
